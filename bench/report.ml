@@ -514,15 +514,14 @@ let e2 () =
         db Workloads.chain_join_query)
     [ 20; 40; 80 ]
 
-(* -- E3: the parallel physical layer ------------------------------------------ *)
+(* -- E3: fat-intermediate chain joins ------------------------------------------ *)
 
-(* the pipelined partitioned-hash-join executor against the sequential
-   indexed layer, on a fat-intermediate chain (see Workloads.par_chain_db).
-   Results and work counters must agree exactly at every domain count;
-   the wall-clock table is the speedup evidence recorded in
-   EXPERIMENTS.md §E3. *)
+(* the indexed layer on a fat-intermediate chain (see
+   Workloads.fat_chain_db) and on the Fig. 8 selective join, rewritten
+   vs unrewritten: hash-join work counters plus the chain's wall-clock,
+   recorded in EXPERIMENTS.md §E3 *)
 let e3 () =
-  section "E3" "parallel layer: pipelined partitioned hash joins vs indexed";
+  section "E3" "fat-intermediate chain joins on the indexed layer";
   let time f =
     ignore (f ());
     (* warm-up *)
@@ -533,54 +532,26 @@ let e3 () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1000.
   in
-  row "  %-24s %10s %10s %10s %10s %12s@." "" "indexed" "par d=1" "par d=2"
-    "par d=4" "speedup d=4";
   List.iter
     (fun (size, fan) ->
       let key = Fmt.str "e3.chain%d_fan%d" size fan in
-      let db = Workloads.par_chain_db ~size ~fan in
-      let q = Workloads.par_chain_query in
+      let db = Workloads.fat_chain_db ~size ~fan in
+      let q = Workloads.fat_chain_query in
       let si = Eval.fresh_stats () in
-      let ri = Eval.run ~physical:Eval.Physical.Indexed ~stats:si db q in
-      let sp = Eval.fresh_stats () in
-      let rp =
-        Eval.run ~physical:Eval.Physical.Parallel ~domains:4 ~stats:sp db q
-      in
-      let equal = Relation.equal ri rp in
-      let counters_equal =
-        si.Eval.combinations = sp.Eval.combinations
-        && si.Eval.probes = sp.Eval.probes
-        && si.Eval.builds = sp.Eval.builds
-        && si.Eval.tuples_produced = sp.Eval.tuples_produced
-      in
+      ignore (Eval.run ~physical:Eval.Physical.Indexed ~stats:si db q);
       let t_idx =
         time (fun () -> Eval.run ~physical:Eval.Physical.Indexed db q)
       in
-      let par d =
-        time (fun () -> Eval.run ~physical:Eval.Physical.Parallel ~domains:d db q)
-      in
-      let t1 = par 1 and t2 = par 2 and t4 = par 4 in
       metric_int (key ^ ".combinations") si.Eval.combinations;
       metric_int (key ^ ".probes") si.Eval.probes;
       metric_int (key ^ ".builds") si.Eval.builds;
-      metric_bool (key ^ ".equal") equal;
-      metric_bool (key ^ ".counters_equal") counters_equal;
       metric (key ^ ".indexed_ms") (Json.Float t_idx);
-      metric (key ^ ".parallel_d1_ms") (Json.Float t1);
-      metric (key ^ ".parallel_d2_ms") (Json.Float t2);
-      metric (key ^ ".parallel_d4_ms") (Json.Float t4);
-      metric (key ^ ".speedup_d4") (Json.Float (t_idx /. t4));
-      row "  %-24s %8.2fms %8.2fms %8.2fms %8.2fms %11.2fx@."
+      row "  %-24s %6d combos + %6d probes + %5d builds  %8.2fms@."
         (Fmt.str "chain %d fan %d" size fan)
-        t_idx t1 t2 t4 (t_idx /. t4);
-      if not (equal && counters_equal) then
-        row "  %-24s PARALLEL LAYER DISAGREES (equal %b, counters %b)@." ""
-          equal counters_equal)
+        si.Eval.combinations si.Eval.probes si.Eval.builds t_idx)
     [ (2000, 50); (4000, 50); (4000, 100) ];
-  (* the Fig. 8 selective join, rewritten vs unrewritten, under the
-     parallel layer: the rewrite benefit (counter shrinkage) survives
-     unchanged because the parallel counters equal the indexed ones at
-     every domain count *)
+  (* the Fig. 8 selective join, rewritten vs unrewritten: the rewrite
+     benefit shows as counter shrinkage on the hash-join layer too *)
   let s = Workloads.film_session ~films:200 ~actors:100 in
   let db = Session.database s in
   let plan =
@@ -591,31 +562,12 @@ let e3 () =
   List.iter
     (fun (tag, rel) ->
       let si = Eval.fresh_stats () in
-      let ri = Eval.run ~physical:Eval.Physical.Indexed ~stats:si db rel in
-      let all_match =
-        List.for_all
-          (fun d ->
-            let sp = Eval.fresh_stats () in
-            let rp =
-              Eval.run ~physical:Eval.Physical.Parallel ~domains:d ~stats:sp db
-                rel
-            in
-            let ok =
-              Relation.equal ri rp
-              && si.Eval.combinations = sp.Eval.combinations
-              && si.Eval.probes = sp.Eval.probes
-              && si.Eval.builds = sp.Eval.builds
-            in
-            metric_bool (Fmt.str "e3.fig8_%s.d%d.matches_indexed" tag d) ok;
-            ok)
-          [ 1; 2; 4 ]
-      in
+      ignore (Eval.run ~physical:Eval.Physical.Indexed ~stats:si db rel);
       metric_int (Fmt.str "e3.fig8_%s.combinations" tag) si.Eval.combinations;
       metric_int (Fmt.str "e3.fig8_%s.probes" tag) si.Eval.probes;
       metric_int (Fmt.str "e3.fig8_%s.builds" tag) si.Eval.builds;
-      row
-        "  Fig. 8 %-12s %6d combos + %5d probes + %5d builds; parallel matches indexed at d ∈ {1,2,4}: %b@."
-        tag si.Eval.combinations si.Eval.probes si.Eval.builds all_match)
+      row "  Fig. 8 %-12s %6d combos + %5d probes + %5d builds@." tag
+        si.Eval.combinations si.Eval.probes si.Eval.builds)
     [
       ("unrewritten", plan.Session.translated);
       ("rewritten", plan.Session.rewritten);
@@ -1163,16 +1115,15 @@ let e6 () =
 (* The columnar tentpole A/B (DESIGN.md decision 14): the same plans on
    the same physical layer, boxed tuple loops ([~columnar:false] — the
    seed implementation, still the counter oracle) against interned
-   columnar chunked loops ([~columnar:true]).  The work counters must be
+   columnar loops ([~columnar:true]).  The work counters must be
    identical — the columnar rewrite changes the representation, not the
    algorithm — so result+counter parity and columnar-path liveness are
    gated booleans; the wall-clock and allocation shrinkage is the payoff
    recorded in EXPERIMENTS.md §E7.  Allocation is measured in kilowords
-   on the sequential layer only (domain-local GC stats make the parallel
-   figure a coordinator-only view) and gated decrease-or-hold: the
-   chunked loops must never start allocating per tuple again. *)
+   and gated decrease-or-hold: the columnar loops must never start
+   allocating per tuple again. *)
 let e7 () =
-  section "E7" "columnar layout: interned ids + chunked int loops vs boxed";
+  section "E7" "columnar layout: interned ids + int loops vs boxed";
   let time f =
     ignore (f ());
     (* warm-up: also forces the lazy column build out of the loop *)
@@ -1196,12 +1147,9 @@ let e7 () =
   in
   row "  %-26s %10s %10s %8s %9s %s@." "" "boxed" "columnar" "speedup"
     "alloc kw" "parity";
-  let compare key label ?domains db q =
-    let physical =
-      match domains with None -> Eval.Physical.Indexed | Some _ -> Eval.Physical.Parallel
-    in
+  let compare key label db q =
     let run ~columnar ?stats () =
-      Eval.run ~physical ?domains ?stats ~columnar db q
+      Eval.run ~physical:Eval.Physical.Indexed ?stats ~columnar db q
     in
     let sb = Eval.fresh_stats () in
     let rb = run ~columnar:false ~stats:sb () in
@@ -1227,40 +1175,29 @@ let e7 () =
     metric_float (key ^ ".boxed_ms") t_boxed;
     metric_float (key ^ ".columnar_ms") t_col;
     metric_float (key ^ ".speedup") speedup;
-    let alloc_note =
-      match domains with
-      | Some _ -> ""
-      | None ->
-        let a_boxed = alloc_kwords (fun () -> run ~columnar:false ()) in
-        let a_col = alloc_kwords (fun () -> run ~columnar:true ()) in
-        (* the columnar count is exactly repeatable (chunked int loops,
-           no hash-bucket shape sensitivity) and gated decrease-or-hold;
-           the boxed baseline is bimodal across processes (hash-table
-           growth interacts with minor-heap phase), so it is reported
-           under a non-gated key and only the 2x-margin shrink claim is
-           asserted *)
-        metric_int (key ^ ".boxed_heap_kwords") a_boxed;
-        metric_int (key ^ ".columnar_alloc_kwords") a_col;
-        metric_bool (key ^ ".alloc_shrinks") (2 * a_col <= a_boxed);
-        Fmt.str "%4d→%-4d" a_boxed a_col
-    in
-    row "  %-26s %8.2fms %8.2fms %7.1fx %9s equal %b, counters %b, live %b@."
-      label t_boxed t_col speedup alloc_note equal counters_equal columnar_live;
+    let a_boxed = alloc_kwords (fun () -> run ~columnar:false ()) in
+    let a_col = alloc_kwords (fun () -> run ~columnar:true ()) in
+    (* the columnar count is exactly repeatable (int loops, no
+       hash-bucket shape sensitivity) and gated decrease-or-hold; the
+       boxed baseline is bimodal across processes (hash-table growth
+       interacts with minor-heap phase), so it is reported under a
+       non-gated key and only the 2x-margin shrink claim is asserted *)
+    metric_int (key ^ ".boxed_heap_kwords") a_boxed;
+    metric_int (key ^ ".columnar_alloc_kwords") a_col;
+    metric_bool (key ^ ".alloc_shrinks") (2 * a_col <= a_boxed);
+    row "  %-26s %8.2fms %8.2fms %7.1fx %4d→%-4d equal %b, counters %b, live %b@."
+      label t_boxed t_col speedup a_boxed a_col equal counters_equal
+      columnar_live;
     speedup
   in
   (* the E2 chain join at its bench sizes: counter-parity evidence *)
   ignore (compare "e7.chain40" "R⋈S⋈T, size 40" (Workloads.chain_join_db ~size:40)
             Workloads.chain_join_query);
-  (* the E3 fat-intermediate chain: the hot-loop payoff, sequential and
-     parallel *)
-  let big = Workloads.par_chain_db ~size:2000 ~fan:50 in
+  (* the E3 fat-intermediate chain: the hot-loop payoff *)
   let s_chain =
     compare "e7.chain2000_fan50" "chain 2000 fan 50"
-      big Workloads.par_chain_query
-  in
-  let s_par =
-    compare "e7.par_chain2000_d4" "chain 2000 fan 50, d=4" ~domains:4 big
-      Workloads.par_chain_query
+      (Workloads.fat_chain_db ~size:2000 ~fan:50)
+      Workloads.fat_chain_query
   in
   (* a Figure-8-shaped selective join over interned CHAR columns: FILM ⋈
      APPEARS_IN with a selective Title probe, every title distinct so the
@@ -1298,8 +1235,8 @@ let e7 () =
   metric_int "e7.interned_strings" (Eds_value.Intern.size ());
   row "  intern table: %d distinct strings@." (Eds_value.Intern.size ());
   (* the headline gate: the hot loops must hold a 5x margin on at least
-     one of the heavy workloads (chain-2000 sequential/parallel, fig8) *)
-  let best = Float.max s_fig8 (Float.max s_chain s_par) in
+     one of the heavy workloads (chain-2000, fig8) *)
+  let best = Float.max s_fig8 s_chain in
   metric_float "e7.best_speedup" best;
   metric_bool "e7.speedup_ge_5" (best >= 5.0);
   row "  best columnar speedup: %.1fx (gate: >= 5x)@." best

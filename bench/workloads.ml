@@ -213,16 +213,16 @@ let chain_join_query =
         ],
       [ Lera.col 1 1; Lera.col 3 2 ] )
 
-(* -- E3 workload: fat-intermediate chain for the parallel layer ---------- *)
+(* -- E3 workload: fat-intermediate chain ---------------------------------- *)
 
 (* R(A,J) ⋈ S(J,K) ⋈ T(K,B) with all three relations the same
    cardinality, so the greedy join order cannot pick a small driver:
    R→S fans out by ~[fan] (J ranges over size/fan groups) and T keeps
    only 1 in 64 of the fanned tuples (its keys are the multiples of
-   64).  The pipelined parallel executor streams the fat R⋈S middle
-   through the T probe without ever materialising it; the sequential
-   indexed layer builds the whole intermediate combination list. *)
-let par_chain_db ~size ~fan =
+   64).  The columnar executor streams the fat R⋈S middle through the
+   T probe without ever materialising it; the boxed executor builds the
+   whole intermediate combination list. *)
+let fat_chain_db ~size ~fan =
   let db = Database.create () in
   let rng = make_rng 31415 in
   let two a b = [ (a, Vtype.Int); (b, Vtype.Int) ] in
@@ -238,4 +238,4 @@ let par_chain_db ~size ~fan =
        (List.init size (fun i -> [ Value.Int (64 * i); Value.Int i ])));
   db
 
-let par_chain_query = chain_join_query
+let fat_chain_query = chain_join_query

@@ -58,10 +58,6 @@ let cache_arg =
   Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N"
          ~doc:"Shared rewrite-plan cache capacity (entries).")
 
-let domains_arg =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Worker domains for the parallel physical layer.")
-
 let norewrite_arg =
   Arg.(value & flag & info [ "no-rewrite" ] ~doc:"Disable the query rewriter.")
 
@@ -92,7 +88,7 @@ let file_sink path =
         output_string oc (line ^ "\n");
         flush oc)
 
-let main host port db no_fsync max_connections backlog timeout_ms cache domains
+let main host port db no_fsync max_connections backlog timeout_ms cache
     norewrite slow_ms slow_log =
   let session, wal =
     match db with
@@ -116,7 +112,6 @@ let main host port db no_fsync max_connections backlog timeout_ms cache domains
     | None -> (Session.create (), None)
   in
   if norewrite then Session.set_rewriting session false;
-  (match domains with Some d -> Session.set_domains session d | None -> ());
   let config =
     {
       Server.host;
@@ -169,7 +164,7 @@ let cmd =
   let doc = "EDS query server: shared sessions, plan cache, admission control" in
   Cmd.v (Cmd.info "edsd" ~doc)
     Term.(const main $ host_arg $ port_arg $ db_arg $ no_fsync_arg $ max_conns_arg
-          $ backlog_arg $ timeout_arg $ cache_arg $ domains_arg $ norewrite_arg
+          $ backlog_arg $ timeout_arg $ cache_arg $ norewrite_arg
           $ slow_ms_arg $ slow_log_arg)
 
 let () = exit (Cmd.eval cmd)

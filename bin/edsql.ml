@@ -28,12 +28,6 @@ let limits_arg =
   Arg.(value & opt (some int) None & info [ "limits" ]
          ~doc:"Apply this limit to every rule block (negative = infinite).")
 
-let domains_arg =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Worker domains for the parallel physical layer (same as the \
-               .domains directive; defaults to EDS_DOMAINS or the hardware \
-               count).")
-
 let connect_arg =
   Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
          ~doc:"Attach to a running edsd server instead of evaluating \
@@ -89,7 +83,7 @@ let remote_repl target =
   in
   loop ()
 
-let main file explain norewrite limits domains connect db =
+let main file explain norewrite limits connect db =
   match connect with
   | Some target -> remote_repl target
   | None ->
@@ -105,9 +99,6 @@ let main file explain norewrite limits domains connect db =
   if norewrite then Session.set_rewriting session false;
   (match limits with
   | Some n -> Session.set_config session (Repl.limits_config n)
-  | None -> ());
-  (match domains with
-  | Some d -> Session.set_domains session d
   | None -> ());
   (* EDS_TRACE=<file> traces the whole run; the finaliser writes the
      closing bracket even on early exit *)
@@ -129,6 +120,6 @@ let cmd =
   let doc = "an extensible rule-based query rewriter (ICDE 1991 reproduction)" in
   Cmd.v (Cmd.info "edsql" ~doc)
     Term.(const main $ file_arg $ explain_arg $ norewrite_arg $ limits_arg
-          $ domains_arg $ connect_arg $ db_arg)
+          $ connect_arg $ db_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -80,8 +80,7 @@ let help_text =
   \  .check                termination warnings for the rule program (\xc2\xa74.2)\n\
   \  .limits N             set every block limit to N (negative = infinite)\n\
   \  .norewrite / .rewrite disable / enable the rewriter\n\
-  \  .physical naive|indexed|parallel   select the physical evaluation layer\n\
-  \  .domains N            worker domains for the parallel layer\n\
+  \  .physical naive|indexed   select the physical evaluation layer\n\
   \  .constraint TEXT      declare an integrity constraint (Fig. 10)\n\
   \  .refresh VIEW         force a full recompute of a materialized view\n\
   \  .save FILE / .load FILE   dump or restore the whole session\n\
@@ -121,7 +120,6 @@ let print_session_stats ppf session =
   Fmt.pf ppf "statements run   : %d@." (Session.statements_run session);
   Fmt.pf ppf "physical layer   : %s@."
     (Eval.Physical.to_string (Session.physical session));
-  Fmt.pf ppf "domains          : %d@." (Session.domains session);
   Fmt.pf ppf "eval combinations: %d@." es.Eval.combinations;
   Fmt.pf ppf "tuples read      : %d@." es.Eval.tuples_read;
   Fmt.pf ppf "tuples produced  : %d@." es.Eval.tuples_produced;
@@ -286,17 +284,8 @@ let handle_directive ppf session line =
       Session.set_physical session p;
       Fmt.pf ppf "physical layer: %s@." (Eval.Physical.to_string p)
     | None ->
-      Fmt.pf ppf "physical layer: %s (usage: .physical naive|indexed|parallel)@."
+      Fmt.pf ppf "physical layer: %s (usage: .physical naive|indexed)@."
         (Eval.Physical.to_string (Session.physical session)));
-    `Continue
-  | ".domains" ->
-    (match (arg, int_of_string_opt arg) with
-    | "", _ ->
-      Fmt.pf ppf "domains: %d (usage: .domains N)@." (Session.domains session)
-    | _, Some n when n >= 1 ->
-      Session.set_domains session n;
-      Fmt.pf ppf "domains: %d@." n
-    | _ -> Fmt.pf ppf "usage: .domains N   (N >= 1)@.");
     `Continue
   | ".verify" ->
     (match arg with

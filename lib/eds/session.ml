@@ -46,7 +46,6 @@ type t = {
   mutable rewriting : bool;
   mutable adaptive : bool;
   mutable physical : Eval.Physical.t;
-  mutable domains : int;  (** pool size used by {!Eval.Physical.Parallel} *)
   mutable semantic_constraints : (string * Term.t) list;
   mutable extra_methods : (string * Engine.method_fn) list;
   mviews : Materializer.t;  (** materialized views and their extents *)
@@ -82,7 +81,6 @@ let create ?(config = Optimizer.default_config) () =
     rewriting = true;
     adaptive = false;
     physical = Eval.Physical.Indexed;
-    domains = Eds_engine.Domain_pool.default_size ();
     semantic_constraints = [];
     extra_methods = [];
     mviews = Materializer.create ();
@@ -123,13 +121,6 @@ let set_physical s p =
   Eval.Shared_fix_cache.clear s.fix_cache
 
 let physical s = s.physical
-
-let set_domains s d =
-  if d < 1 then error "domains must be >= 1 (got %d)" d;
-  s.domains <- d;
-  Eval.Shared_fix_cache.clear s.fix_cache
-
-let domains s = s.domains
 
 (* the catalog owns types and ADTs; keep the database's view in sync *)
 let sync s =
@@ -211,7 +202,7 @@ let data_generation s = Database.data_generation s.db
 let run_plan ?stats ?db s rel =
   let db = Option.value db ~default:s.db in
   wrap_errors (fun () ->
-      Eval.run ~physical:s.physical ~domains:s.domains ?stats
+      Eval.run ~physical:s.physical ?stats
         ~fix_cache:s.fix_cache db rel)
 
 let estimate s rel =
@@ -232,7 +223,7 @@ let fix_cache_stats s =
    which keys on the data generation) see the statement atomically. *)
 let apply_dml s ~table ~before ~after =
   let updates =
-    Materializer.apply s.mviews ~physical:s.physical ~domains:s.domains
+    Materializer.apply s.mviews ~physical:s.physical
       ~stats:s.eval_stats
       ~recompute_cost:(fun rel -> (estimate s rel).Eds_lera.Cost.cost)
       s.db ~table ~before ~after
@@ -320,14 +311,14 @@ let exec s (stmt : Ast.stmt) : result =
     ignore
       (Obs.span ~cat:"pipeline" "materialize" (fun () ->
            Materializer.initialize s.mviews ~physical:s.physical
-             ~domains:s.domains ~stats:s.eval_stats s.db name));
+             ~stats:s.eval_stats s.db name));
     sync s;
     invalidate_plans s;
     Done
   | Ast.Refresh name -> (
     match
       Obs.span ~cat:"pipeline" "materialize" (fun () ->
-          Materializer.refresh s.mviews ~physical:s.physical ~domains:s.domains
+          Materializer.refresh s.mviews ~physical:s.physical
             ~stats:s.eval_stats s.db name)
     with
     | Some _ -> Done
@@ -413,7 +404,7 @@ let exec s (stmt : Ast.stmt) : result =
     let t0 = Obs.now () in
     let rel =
       Obs.span ~cat:"pipeline" "execute" (fun () ->
-          Eval.run ~physical:s.physical ~domains:s.domains ~stats:s.eval_stats
+          Eval.run ~physical:s.physical ~stats:s.eval_stats
             ~fix_cache:s.fix_cache s.db plan.rewritten)
     in
     Metrics.Histogram.observe m_execute (Obs.now () -. t0);
@@ -426,7 +417,7 @@ let exec s (stmt : Ast.stmt) : result =
       let t0 = Obs.now () in
       let rel, report =
         Obs.span ~cat:"pipeline" "execute" (fun () ->
-            Eval.run_analyzed ~physical:s.physical ~domains:s.domains ~stats
+            Eval.run_analyzed ~physical:s.physical ~stats
               ~fix_cache:s.fix_cache s.db plan.rewritten)
       in
       let exec_s = Obs.now () -. t0 in

@@ -55,21 +55,10 @@ val set_adaptive : t -> bool -> unit
 
 val set_physical : t -> Eval.Physical.t -> unit
 (** Select the physical evaluation layer for subsequent statements —
-    [Indexed] (the default: hash joins, set-backed relations), [Naive]
-    (full cartesian enumeration, the golden reference), or [Parallel]
-    (the indexed plan fanned out on a domain pool sized by
-    {!set_domains}). *)
+    [Indexed] (the default: hash joins, set-backed relations)
+    or [Naive] (full cartesian enumeration, the golden reference). *)
 
 val physical : t -> Eval.Physical.t
-
-val set_domains : t -> int -> unit
-(** Worker-domain count used by the [Parallel] layer (default:
-    {!Eds_engine.Domain_pool.default_size}, i.e. the [EDS_DOMAINS]
-    environment variable or the hardware count).  Raises
-    {!Session_error} if the count is not positive.  Ignored by the other
-    layers. *)
-
-val domains : t -> int
 
 (** {1 Executing ESQL} *)
 

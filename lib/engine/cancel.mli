@@ -11,12 +11,7 @@
     Deadlines are per-{e thread}: concurrent queries on different
     connection threads each carry their own budget.  When no deadline is
     active anywhere in the process, {!tick} is a single atomic load —
-    standalone (REPL / bench / test) evaluation pays nothing.
-
-    Under the parallel physical layer only the caller's slot of the
-    domain pool ticks (worker domains never see the deadline), so a
-    parallel query times out at chunk granularity rather than
-    mid-chunk. *)
+    standalone (REPL / bench / test) evaluation pays nothing. *)
 
 exception Timeout of float
 (** Carries the exceeded budget in seconds. *)

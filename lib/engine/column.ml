@@ -30,8 +30,6 @@ type table = {
   cols : col array;
 }
 
-let chunk_rows = 1024
-
 let enabled_flag =
   let init =
     match Sys.getenv_opt "EDS_COLUMNAR" with Some "0" -> false | _ -> true

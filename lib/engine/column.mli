@@ -3,8 +3,8 @@
     A relation whose tuples are made exclusively of [Int], [Oid], [Str],
     [Enum] and [Real] scalars — one constructor per column — can be
     shadowed by a {!table}: one typed array per column, strings and enum
-    labels replaced by their {!Eds_value.Intern} ids.  The hot loops of the Indexed and Parallel
-    layers (hash-join build/probe, filter, semi-naive freshness) then
+    labels replaced by their {!Eds_value.Intern} ids.  The hot loops of the
+    Indexed layer (hash-join build/probe, filter, semi-naive freshness) then
     run over plain [int]/[float] arrays with no boxed [Value.t] in the
     inner loop; boxed tuples are materialized only at result-construction
     and Obs boundaries.
@@ -40,9 +40,6 @@ type table = {
   nrows : int;
   cols : col array;  (** all of length [nrows] *)
 }
-
-val chunk_rows : int
-(** Row granularity of chunked (vectorized) loops: 1024. *)
 
 val enabled : unit -> bool
 (** Default for the evaluator's [~columnar] switch.  Initialized from

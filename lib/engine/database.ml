@@ -45,19 +45,13 @@ let adts db = db.state.adt_registry
 let set_types db env = publish db { db.state with type_env = env }
 let set_adts db reg = publish db { db.state with adt_registry = reg }
 
-(* Force the relation's lazy hash view before the new state becomes
-   visible: snapshot readers (including pool worker domains) must only
-   ever see forced suspensions — racing [Lazy.force] can raise
-   [Lazy.Undefined]. *)
 let add_relation db name rel =
-  Relation.force_index rel;
   publish db { db.state with relations = Smap.add name rel db.state.relations }
 
 (* Install several relations under one publish: a DML statement and every
    materialized extent it maintains become visible atomically, and the
    data generation moves once per statement, not once per relation. *)
 let replace_many db updates =
-  List.iter (fun (_, rel) -> Relation.force_index rel) updates;
   publish db
     {
       db.state with

@@ -33,9 +33,7 @@ val set_adts : t -> Adt.registry -> unit
 (** {1 Relations} *)
 
 val add_relation : t -> string -> Relation.t -> unit
-(** Create or replace a base relation.  The relation's hash view is
-    forced before the new state is published, so concurrent snapshot
-    readers never race a lazy build. *)
+(** Create or replace a base relation. *)
 
 val replace_many : t -> (string * Relation.t) list -> unit
 (** Create or replace several relations under a {e single} publish, so

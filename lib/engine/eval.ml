@@ -93,19 +93,12 @@ module Physical = struct
   type t =
     | Naive  (** cartesian enumeration + post-filter — the golden reference *)
     | Indexed  (** hash joins on extracted equi conjuncts, set-backed dedup *)
-    | Parallel
-        (** partitioned hash joins and chunked scans on a {!Domain_pool};
-            identical results and identical counter totals to [Indexed] *)
 
-  let to_string = function
-    | Naive -> "naive"
-    | Indexed -> "indexed"
-    | Parallel -> "parallel"
+  let to_string = function Naive -> "naive" | Indexed -> "indexed"
 
   let of_string = function
     | "naive" -> Some Naive
     | "indexed" -> Some Indexed
-    | "parallel" -> Some Parallel
     | _ -> None
 end
 
@@ -340,140 +333,35 @@ type ctx = {
   stats : stats;
   rvars : (string * Relation.t) list;
   fix_cache : fix_memo;
-  pool : Domain_pool.t option;  (** [Some] exactly under {!Physical.Parallel} *)
   columnar : bool;
       (** try the vectorized fast paths; always [false] under
           {!Physical.Naive} (the paper-shape counter oracle stays boxed) *)
   analyze : analysis option;  (** [Some] only under {!run_analyzed} *)
 }
 
-(* leaf scans shorter than this stay sequential under [Parallel]: the
-   chunk split is still deterministic (it only depends on the length),
-   and small inputs are not worth a fan-out barrier *)
-let par_min_chunk = 256
-
-(* Merge slot-private counter cells into the context stats, in slot
-   order, and attribute the per-worker share on the trace: one instant
-   per active slot carrying a ["tid"] attribute, which the trace export
-   lifts into the Chrome trace thread id. *)
-let merge_cells ~op ctx (cells : stats array) =
-  Array.iteri
-    (fun slot c ->
-      add_stats ctx.stats c;
-      if
-        Obs.enabled ()
-        && (c.combinations > 0 || c.probes > 0 || c.builds > 0)
-      then
-        Obs.instant ~cat:"eval"
-          ~attrs:
-            [
-              ("tid", Obs.Json.Int (slot + 1));
-              ("combinations", Obs.Json.Int c.combinations);
-              ("probes", Obs.Json.Int c.probes);
-              ("builds", Obs.Json.Int c.builds);
-            ]
-          ("par:" ^ op))
-    cells
-
-(* cut [n] items into at most [size pool] contiguous chunks of at least
-   [par_min_chunk]; 1 means "stay sequential" *)
-let chunks_for pool n =
-  Domain_pool.chunk_count ~slots:(Domain_pool.size pool)
-    ~min_chunk:par_min_chunk n
-
 (* Selection: one [combinations] per input tuple, [q] applied to the
-   single-tuple binding.  Under [Parallel] the tuple list is cut into
-   contiguous chunks evaluated on the pool, with slot-private counter
-   cells and output lists merged in chunk order — same counter totals,
-   same tuple multiset, deterministic order. *)
+   single-tuple binding. *)
 let filter_tuples ctx q (ra : Relation.t) =
-  let db = ctx.db in
-  let n = Relation.cardinality ra in
-  let nchunks = match ctx.pool with Some p -> chunks_for p n | None -> 1 in
-  if nchunks = 1 then begin
-    let stats = ctx.stats in
-    List.filter
-      (fun tup ->
-        Cancel.tick ();
-        stats.combinations <- stats.combinations + 1;
-        Expr_eval.eval_bool db ~inputs:[ tup ] q)
-      ra.Relation.tuples
-  end
-  else begin
-    let pool = Option.get ctx.pool in
-    let arr = Array.of_list ra.Relation.tuples in
-    let cells = Array.init nchunks (fun _ -> fresh_stats ()) in
-    let outs = Array.make nchunks [] in
-    Domain_pool.run pool nchunks (fun c ->
-        let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-        let cell = cells.(c) in
-        let acc = ref [] in
-        for i = hi - 1 downto lo do
-          let tup = arr.(i) in
-          cell.combinations <- cell.combinations + 1;
-          if Expr_eval.eval_bool db ~inputs:[ tup ] q then acc := tup :: !acc
-        done;
-        outs.(c) <- !acc);
-    merge_cells ~op:"filter" ctx cells;
-    List.concat (Array.to_list outs)
-  end
+  let stats = ctx.stats in
+  List.filter
+    (fun tup ->
+      Cancel.tick ();
+      stats.combinations <- stats.combinations + 1;
+      Expr_eval.eval_bool ctx.db ~inputs:[ tup ] q)
+    ra.Relation.tuples
 
-(* Projection: a pure map, no counters; chunked the same way. *)
+(* Projection: a pure map, no counters. *)
 let project_tuples ctx ps (ra : Relation.t) =
-  let db = ctx.db in
-  let project tup =
-    List.map (fun p -> Expr_eval.eval db ~inputs:[ tup ] p) ps
-  in
-  let n = Relation.cardinality ra in
-  let nchunks = match ctx.pool with Some p -> chunks_for p n | None -> 1 in
-  if nchunks = 1 then List.map project ra.Relation.tuples
-  else begin
-    let pool = Option.get ctx.pool in
-    let arr = Array.of_list ra.Relation.tuples in
-    let outs = Array.make nchunks [] in
-    Domain_pool.run pool nchunks (fun c ->
-        let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-        let acc = ref [] in
-        for i = hi - 1 downto lo do
-          acc := project arr.(i) :: !acc
-        done;
-        outs.(c) <- !acc);
-    List.concat (Array.to_list outs)
-  end
-
-(* Semi-naive freshness test: drop tuples already in [total].  Under
-   [Parallel] the hash-set index of [total] is forced on the caller's
-   domain first (concurrently forcing a lazy from several domains is
-   unsafe; reading a forced one is not), then the candidate list is
-   filtered in chunks. *)
-let fresh_against ctx total new_tuples =
-  let keep tup = not (Relation.mem tup total) in
-  match ctx.pool with
-  | None -> List.filter keep new_tuples
-  | Some pool ->
-    let n = List.length new_tuples in
-    let nchunks = chunks_for pool n in
-    if nchunks = 1 then List.filter keep new_tuples
-    else begin
-      Relation.force_index total;
-      let arr = Array.of_list new_tuples in
-      let outs = Array.make nchunks [] in
-      Domain_pool.run pool nchunks (fun c ->
-          let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            if keep arr.(i) then acc := arr.(i) :: !acc
-          done;
-          outs.(c) <- !acc);
-      List.concat (Array.to_list outs)
-    end
+  List.map
+    (fun tup -> List.map (fun p -> Expr_eval.eval ctx.db ~inputs:[ tup ] p) ps)
+    ra.Relation.tuples
 
 (* Vectorized selection: when the input has a columnar shadow and the
    qualification compiles to a row predicate, filter by row number over
    the typed arrays and rebuild the output as an order-preserving subset
    (no re-sort).  Counter parity with {!filter_tuples}: one
-   [combinations] per input row, in both the sequential and the chunked
-   parallel shape.  Falls back to the boxed path otherwise. *)
+   [combinations] per input row.  Falls back to the boxed path
+   otherwise. *)
 let columnar_filter ctx q (ra : Relation.t) =
   let boxed () = Relation.make ra.Relation.schema (filter_tuples ctx q ra) in
   if not ctx.columnar then boxed ()
@@ -492,41 +380,15 @@ let columnar_filter ctx q (ra : Relation.t) =
         ra
       | Column.Pred.Rows p ->
         let stats = ctx.stats in
-        let n = tbl.Column.nrows in
-        let nchunks =
-          match ctx.pool with
-          | Some pl ->
-            Domain_pool.chunk_count ~slots:(Domain_pool.size pl)
-              ~min_chunk:Column.chunk_rows n
-          | None -> 1
-        in
+        let rows = [| 0 |] in
         let out =
-          if nchunks = 1 then begin
-            let rows = [| 0 |] in
-            Relation.filteri
-              (fun i _ ->
-                Cancel.tick ();
-                stats.combinations <- stats.combinations + 1;
-                rows.(0) <- i;
-                p rows)
-              ra
-          end
-          else begin
-            let pool = Option.get ctx.pool in
-            let keep = Bytes.make n '\000' in
-            let cells = Array.init nchunks (fun _ -> fresh_stats ()) in
-            Domain_pool.run pool nchunks (fun c ->
-                let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-                let cell = cells.(c) in
-                let rows = [| 0 |] in
-                for i = lo to hi - 1 do
-                  cell.combinations <- cell.combinations + 1;
-                  rows.(0) <- i;
-                  if p rows then Bytes.unsafe_set keep i '\001'
-                done);
-            merge_cells ~op:"filter" ctx cells;
-            Relation.filteri (fun i _ -> Bytes.unsafe_get keep i = '\001') ra
-          end
+          Relation.filteri
+            (fun i _ ->
+              Cancel.tick ();
+              stats.combinations <- stats.combinations + 1;
+              rows.(0) <- i;
+              p rows)
+            ra
         in
         stats.columnar_ops <- stats.columnar_ops + 1;
         out)
@@ -628,22 +490,13 @@ let record_deltas (s : stats) ~c0 ~r0 ~pr0 ~b0 ~f0 ~fh0 ~fm0 ~p0 ~co0 =
   Metrics.Counter.add m_columnar (s.columnar_ops - co0)
 
 let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
-    ?domains ?(rvars = []) ?columnar ?fix_cache ?analyze db (r : Lera.rel) :
+    ?(rvars = []) ?columnar ?fix_cache ?analyze db (r : Lera.rel) :
     Relation.t =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let fix_memo =
     match fix_cache with
     | Some shared -> Shared shared
     | None -> Per_run (Fix_cache.create 8)
-  in
-  let pool =
-    match physical with
-    | Physical.Parallel ->
-      let d =
-        match domains with Some d -> d | None -> Domain_pool.default_size ()
-      in
-      Some (Domain_pool.get d)
-    | Physical.Naive | Physical.Indexed -> None
   in
   let columnar =
     (match columnar with Some c -> c | None -> Column.enabled ())
@@ -663,8 +516,8 @@ let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
       record_deltas stats ~c0 ~r0 ~pr0 ~b0 ~f0 ~fh0 ~fm0 ~p0 ~co0)
     (fun () ->
       eval
-        { db; mode; physical; stats; rvars; fix_cache = fix_memo; pool;
-          columnar; analyze }
+        { db; mode; physical; stats; rvars; fix_cache = fix_memo; columnar;
+          analyze }
         r)
 
 (* Every operator evaluation becomes a span when tracing is on, carrying
@@ -758,7 +611,7 @@ and joined ctx (inputs : Relation.t list) q (yield : Relation.tuple list -> unit
   | Physical.Naive ->
     cartesian stats inputs (fun combo ->
         if Expr_eval.eval_bool ctx.db ~inputs:combo q then yield combo)
-  | Physical.Indexed | Physical.Parallel ->
+  | Physical.Indexed ->
     let plan = Join_plan.analyze ~operands:(List.length inputs) q in
     if not (Join_plan.has_equis plan) then
       cartesian stats inputs (fun combo ->
@@ -775,8 +628,7 @@ and joined ctx (inputs : Relation.t list) q (yield : Relation.tuple list -> unit
           if Expr_eval.eval_bool ctx.db ~inputs:combo residual then yield combo)
     end
 
-(* columnar shadows of every operand, or [None] on the first fallback
-   (forces each relation's lazy shadow on the calling domain) *)
+(* columnar shadows of every operand, or [None] on the first fallback *)
 and all_columns inputs =
   let rec go acc = function
     | [] -> Some (Array.of_list (List.rev acc))
@@ -824,92 +676,31 @@ and columnar_join : 'a. ctx -> Relation.t list -> Lera.scalar ->
               List.init ntab (fun k -> Column.tuple_at tables.(k) rows.(k))
             in
             let stats = ctx.stats in
-            let result =
-              match ctx.pool with
-              | None ->
-                let out = ref [] in
-                Join_plan.execute_columnar
-                  ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-                  ~on_probe:(fun _ -> stats.probes <- stats.probes + 1)
-                  plan tables
-                  (fun _ rows ->
-                    Cancel.tick ();
-                    stats.combinations <- stats.combinations + 1;
-                    if test rows then out := f (materialize rows) :: !out);
-                !out
-              | Some pool ->
-                let slots = Domain_pool.size pool in
-                let cells = Array.init slots (fun _ -> fresh_stats ()) in
-                let outs = Array.make slots [] in
-                Join_plan.execute_columnar ~pool
-                  ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-                  ~on_probe:(fun s ->
-                    let c = cells.(s) in
-                    c.probes <- c.probes + 1)
-                  plan tables
-                  (fun s rows ->
-                    let c = cells.(s) in
-                    c.combinations <- c.combinations + 1;
-                    if test rows then
-                      outs.(s) <- f (materialize rows) :: outs.(s));
-                merge_cells ~op:"join" ctx cells;
-                List.concat (Array.to_list outs)
-            in
+            let out = ref [] in
+            Join_plan.execute_columnar
+              ~on_build:(fun () -> stats.builds <- stats.builds + 1)
+              ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
+              plan tables
+              (fun rows ->
+                Cancel.tick ();
+                stats.combinations <- stats.combinations + 1;
+                if test rows then out := f (materialize rows) :: !out);
             stats.columnar_ops <- stats.columnar_ops + 1;
-            Some result
+            Some !out
         end
   end
 
-(* Collect [f combo] over every qualified combination.  Under [Parallel]
-   (with an equi conjunct to drive the hash plan) this fans out through
-   {!Join_plan.execute_parallel}: counters accumulate into slot-private
-   cells and results into slot-private lists, merged in slot order on
-   the caller's domain, so totals match the sequential layers exactly
-   and no shared state is touched from the workers.  [f] runs on worker
-   domains and must stay read-only. *)
+(* Collect [f combo] over every qualified combination: the columnar
+   driver when it applies, the boxed enumeration otherwise. *)
 and collect_joined : 'a. ctx -> Relation.t list -> Lera.scalar ->
     (Relation.tuple list -> 'a) -> 'a list =
   fun ctx inputs q f ->
   match columnar_join ctx inputs q f with
   | Some out -> out
-  | None -> (
-  match ctx.pool with
   | None ->
     let out = ref [] in
     joined ctx inputs q (fun combo -> out := f combo :: !out);
     !out
-  | Some pool ->
-    let stats = ctx.stats in
-    let plan = Join_plan.analyze ~operands:(List.length inputs) q in
-    if not (Join_plan.has_equis plan) then begin
-      let out = ref [] in
-      cartesian stats inputs (fun combo ->
-          if Expr_eval.eval_bool ctx.db ~inputs:combo q then
-            out := f combo :: !out);
-      !out
-    end
-    else begin
-      let residual = Join_plan.residual plan in
-      let slots = Domain_pool.size pool in
-      let cells = Array.init slots (fun _ -> fresh_stats ()) in
-      let outs = Array.make slots [] in
-      let db = ctx.db in
-      Join_plan.execute_parallel ~pool
-        ~on_build:(fun s ->
-          let c = cells.(s) in
-          c.builds <- c.builds + 1)
-        ~on_probe:(fun s ->
-          let c = cells.(s) in
-          c.probes <- c.probes + 1)
-        plan (Array.of_list inputs)
-        (fun s combo ->
-          let c = cells.(s) in
-          c.combinations <- c.combinations + 1;
-          if Expr_eval.eval_bool db ~inputs:combo residual then
-            outs.(s) <- f combo :: outs.(s));
-      merge_cells ~op:"join" ctx cells;
-      List.concat (Array.to_list outs)
-    end)
 
 and eval_node ctx (r : Lera.rel) : Relation.t =
   let { db; stats; rvars; _ } = ctx in
@@ -1122,9 +913,8 @@ and seminaive_fixpoint ctx n body schema =
       (* fold the per-occurrence variants into one candidate relation
          (union dedups exactly what the sort_uniq of [Relation.make]
          used to), then subtract [total] — columnar whole-row diff when
-         both sides qualify, the chunked hash-set freshness test
-         otherwise; neither counts anything, and both produce the same
-         set *)
+         both sides qualify, the hash-set diff otherwise; neither counts
+         anything, and both produce the same set *)
       let candidates =
         List.fold_left
           (fun acc arm ->
@@ -1145,17 +935,15 @@ and seminaive_fixpoint ctx n body schema =
       let delta' =
         match columnar_members ctx ~keep_found:false candidates total with
         | Some d -> d
-        | None ->
-          Relation.make schema
-            (fresh_against ctx total candidates.Relation.tuples)
+        | None -> Relation.diff candidates total
       in
       iterate (Relation.union total delta') delta'
     end
   in
   if rec_arms = [] then base else iterate base base
 
-let run ?mode ?physical ?stats ?domains ?rvars ?columnar ?fix_cache db r =
-  run_ctx ?mode ?physical ?stats ?domains ?rvars ?columnar ?fix_cache db r
+let run ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r =
+  run_ctx ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r
 
 (* -- report collapse ------------------------------------------------------ *)
 
@@ -1211,12 +999,10 @@ and node_of_raw rw =
     children = collapse rw.rw_kids;
   }
 
-let run_analyzed ?mode ?physical ?stats ?domains ?rvars ?columnar ?fix_cache db
-    r =
+let run_analyzed ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r =
   let a = { an_stack = []; an_roots = [] } in
   let rel =
-    run_ctx ?mode ?physical ?stats ?domains ?rvars ?columnar ?fix_cache
-      ~analyze:a db r
+    run_ctx ?mode ?physical ?stats ?rvars ?columnar ?fix_cache ~analyze:a db r
   in
   let report =
     match collapse (List.rev a.an_roots) with

@@ -27,10 +27,9 @@ type stats = {
   mutable tuples_read : int;  (** base relation tuples scanned *)
   mutable tuples_produced : int;
   mutable fix_iterations : int;
-  mutable probes : int;
-      (** hash-index lookups (Indexed/Parallel layers only) *)
+  mutable probes : int;  (** hash-index lookups (Indexed layer only) *)
   mutable builds : int;
-      (** tuples loaded into hash indexes (Indexed/Parallel only) *)
+      (** tuples loaded into hash indexes (Indexed layer only) *)
   mutable fix_cache_hits : int;
       (** closed-fixpoint memo hits — each one skips a whole fixpoint *)
   mutable fix_cache_misses : int;  (** closed fixpoints actually computed *)
@@ -60,12 +59,6 @@ module Physical : sig
     | Indexed
         (** hash joins on extracted equi conjuncts ({!Join_plan}),
             set-backed relations; produces identical results *)
-    | Parallel
-        (** [Indexed] fanned out on a {!Domain_pool}: partitioned hash
-            builds, chunked pipelined probes, chunked selections /
-            projections / semi-naive freshness tests.  Produces
-            {!Relation.equal} results {e and} identical {!stats} totals
-            to [Indexed] at any domain count. *)
 
   val to_string : t -> string
   val of_string : string -> t option
@@ -112,7 +105,6 @@ val run :
   ?mode:fix_mode ->
   ?physical:Physical.t ->
   ?stats:stats ->
-  ?domains:int ->
   ?rvars:(string * Relation.t) list ->
   ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
@@ -121,12 +113,9 @@ val run :
   Relation.t
 (** Evaluate an expression.  [rvars] supplies bindings for free recursion
     variables (used internally and by tests).  Default mode is
-    [Seminaive]; default physical layer is [Indexed].  [domains] sizes
-    the worker pool used by {!Physical.Parallel} (default
-    {!Domain_pool.default_size}; pools are process-wide and cached, see
-    {!Domain_pool.get}) and is ignored by the other layers.  [columnar]
-    enables the vectorized fast paths of the Indexed/Parallel layers
-    (join, filter, project, diff/inter, semi-naive freshness) for
+    [Seminaive]; default physical layer is [Indexed].  [columnar]
+    enables the vectorized fast paths of the Indexed layer (join,
+    filter, project, diff/inter, semi-naive freshness) for
     operators whose operands have a columnar shadow ({!Column}); it
     defaults to {!Column.enabled} and is forced off under
     {!Physical.Naive}, whose boxed enumeration is the counter oracle.
@@ -163,7 +152,6 @@ val run_analyzed :
   ?mode:fix_mode ->
   ?physical:Physical.t ->
   ?stats:stats ->
-  ?domains:int ->
   ?rvars:(string * Relation.t) list ->
   ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->

@@ -14,7 +14,6 @@
    cartesian enumerator and this path agree bit-for-bit on results. *)
 
 module Lera = Eds_lera.Lera
-module Value = Eds_value.Value
 
 type equi = {
   left : int * int;  (** (operand, column), 1-based, the lower operand *)
@@ -185,196 +184,18 @@ let execute ~on_build ~on_probe p (rels : Relation.t array)
     List.iter (fun combo -> yield (Array.to_list combo)) !combos
   end
 
-(* -- the parallel partitioned executor (Eval.Physical.Parallel) ----------
-
-   Same combination set and the same probe/build counter totals as
-   [execute], with two structural differences:
-
-   - {e partitioned builds}: the build side of every hash step is
-     partitioned by the hash of its join key across [d] partitions,
-     built by [d] pool tasks (the tuple→partition map is a pure function
-     of the hash, so partition contents are deterministic); each
-     partition is a private power-of-two bucket array storing
-     [(hash, key, tuple)] — probes short-circuit on the hash before
-     comparing keys, and nothing is ever written after the build
-     barrier, so concurrent probing needs no locks;
-
-   - {e pipelined probes}: instead of materialising the partial
-     combination set after every step, each task walks its contiguous
-     chunk of the first operand depth-first through the compiled step
-     list, keeping one mutable cursor array; combinations stream to the
-     caller as they complete.  Partials still probe once per hash step,
-     so the counter totals match the materialising executor exactly.
-
-   Chunks are assigned statically ([Domain_pool]); small driving sides
-   (< 2 × [min_chunk]) and size-1 pools run inline on the caller.  The
-   yield order differs from [execute] (depth-first per chunk), which is
-   invisible after [Relation.make] canonicalisation. *)
-
-type part_index = {
-  nparts : int;
-  bucket_mask : int;
-  parts : (int * Relation.tuple * Relation.tuple) list array array;
-      (** [parts.(p).(h land bucket_mask)]: entries whose key-hash [h]
-          satisfies [h mod nparts = p] *)
-}
-
-type step =
-  | Scan of int  (** cartesian step: no equi edge into the bound set *)
-  | Single of {
-      op : int;
-      tup : Relation.tuple;
-      key : Relation.tuple;
-      cols : (int * int) array;  (** probe-side (operand, column) per edge *)
-    }  (** single-tuple operand: direct compare, no index, no counters *)
-  | Probe of { op : int; index : part_index; cols : (int * int) array }
-
-let bucket_count card nparts =
-  let target = max 16 (2 * card / max 1 nparts) in
-  let rec pow2 n = if n >= target then n else pow2 (n * 2) in
-  pow2 16
-
-let build_partitioned ~pool ~on_build ~card tuples key_of_tuple =
-  let nparts = Domain_pool.size pool in
-  let bucket_mask = bucket_count card nparts - 1 in
-  let parts =
-    Array.init nparts (fun _ -> Array.make (bucket_mask + 1) [])
-  in
-  (* one sequential pass hashes every key and splits the entries by
-     partition; the pool tasks then only touch their own partition's
-     entries, so the total work is a single scan regardless of [d] *)
-  let pending = Array.make nparts [] in
-  List.iter
-    (fun tup ->
-      let key = key_of_tuple tup in
-      let h = Relation.hash_tuple key land max_int in
-      let p = h mod nparts in
-      pending.(p) <- (h, key, tup) :: pending.(p))
-    tuples;
-  Domain_pool.run pool nparts (fun p ->
-      let buckets = parts.(p) in
-      List.iter
-        (fun ((h, _, _) as entry) ->
-          on_build p;
-          let b = h land bucket_mask in
-          buckets.(b) <- entry :: buckets.(b))
-        pending.(p));
-  { nparts; bucket_mask; parts }
-
-(* how many contiguous chunks to cut [n] driving tuples into *)
-let chunk_plan ~slots ~min_chunk n =
-  if slots <= 1 || n < 2 * min_chunk then 1 else min slots (n / min_chunk)
-
-let execute_parallel ~pool ~on_build ~on_probe p (rels : Relation.t array)
-    (yield : int -> Relation.tuple list -> unit) =
-  let n = Array.length rels in
-  if n = 0 then yield 0 []
-  else if Array.exists Relation.is_empty rels then ()
-  else begin
-    let cards = Array.map Relation.cardinality rels in
-    let order = greedy_order p cards in
-    let driver, rest =
-      match order with d :: r -> (d, r) | [] -> assert false
-    in
-    let bound = Array.make n false in
-    bound.(driver) <- true;
-    let steps =
-      List.map
-        (fun k ->
-          let edges = edges_to_bound p bound k in
-          bound.(k) <- true;
-          match edges with
-          | [] -> Scan k
-          | edges -> (
-            let build_cols = List.map snd edges in
-            let key_of_tuple tup =
-              List.map (fun j -> List.nth tup (j - 1)) build_cols
-            in
-            let cols = Array.of_list (List.map fst edges) in
-            match rels.(k).Relation.tuples with
-            | [ only ] ->
-              Single { op = k; tup = only; key = key_of_tuple only; cols }
-            | tuples ->
-              let index =
-                build_partitioned ~pool ~on_build ~card:cards.(k) tuples
-                  key_of_tuple
-              in
-              Probe { op = k; index; cols }))
-        rest
-    in
-    let driver_tuples = Array.of_list rels.(driver).Relation.tuples in
-    let dn = Array.length driver_tuples in
-    let run_chunk slot lo hi =
-      let current = Array.make n [] in
-      (* the probe key is never materialised: its hash is folded exactly
-         like [Relation.hash_tuple] over the edge columns, and equality
-         walks the stored key against the bound values — the hot loop
-         allocates nothing (minor-GC pauses synchronise every domain,
-         so allocation here would serialise the pool) *)
-      let value_at (b, j) = List.nth current.(b) (j - 1) in
-      let rec hash_cols cols i acc =
-        if i >= Array.length cols then acc
-        else hash_cols cols (i + 1) ((acc * 31) + Value.hash (value_at cols.(i)))
-      in
-      let rec matches key cols i =
-        match key with
-        | [] -> true
-        | v :: rest ->
-          Value.compare v (value_at cols.(i)) = 0 && matches rest cols (i + 1)
-      in
-      let rec go = function
-        | [] -> yield slot (Array.to_list current)
-        | Scan k :: deeper ->
-          List.iter
-            (fun tup ->
-              current.(k) <- tup;
-              go deeper)
-            rels.(k).Relation.tuples
-        | Single s :: deeper ->
-          if matches s.key s.cols 0 then begin
-            current.(s.op) <- s.tup;
-            go deeper
-          end
-        | Probe pr :: deeper ->
-          on_probe slot;
-          let h = hash_cols pr.cols 0 23 land max_int in
-          let idx = pr.index in
-          probe_bucket
-            idx.parts.(h mod idx.nparts).(h land idx.bucket_mask)
-            h pr.cols pr.op deeper
-      and probe_bucket bucket h cols op deeper =
-        match bucket with
-        | [] -> ()
-        | (h', key', tup) :: rest ->
-          if h' = h && matches key' cols 0 then begin
-            current.(op) <- tup;
-            go deeper
-          end;
-          probe_bucket rest h cols op deeper
-      in
-      for i = lo to hi - 1 do
-        current.(driver) <- driver_tuples.(i);
-        go steps
-      done
-    in
-    let nchunks = chunk_plan ~slots:(Domain_pool.size pool) ~min_chunk:64 dn in
-    if nchunks = 1 then run_chunk 0 0 dn
-    else
-      Domain_pool.run pool nchunks (fun c ->
-          run_chunk c (c * dn / nchunks) ((c + 1) * dn / nchunks))
-  end
-
-(* -- the columnar executor (Indexed/Parallel with qualifying schemas) -----
+(* -- the columnar executor (Indexed with qualifying schemas) ---------------
 
    Same combination set and the same probe/build counter totals as
    [execute] (single-tuple operands compare directly with no counters,
    cartesian steps count nothing, probes fire once per partial reaching
-   a hash step — the pipelined-equals-materializing argument above),
-   but the inner loops never touch a boxed [Value.t]: operands are
-   typed column arrays, probe keys hash and compare as packed ints
-   ({!Column.Index}), and a match yields the per-operand *row numbers*
-   so the caller materializes tuples only for combinations that survive
-   its residual.
+   a hash step), but enumeration is pipelined — combinations are
+   walked depth-first over one cursor array instead of being
+   materialized after every step — and the inner loops never touch a
+   boxed [Value.t]: operands are typed column arrays, probe keys hash
+   and compare as packed ints ({!Column.Index}), and a match yields the
+   per-operand *row numbers* so the caller materializes tuples only for
+   combinations that survive its residual.
 
    Callers must check {!columnar_ok} first: every equi edge needs its
    two columns in range and of equal flavor, because the int fast path
@@ -405,8 +226,8 @@ type cstep =
       pops : int array;
     }
 
-let execute_columnar ?pool ~on_build ~on_probe p (tables : Column.table array)
-    (yield : int -> int array -> unit) =
+let execute_columnar ~on_build ~on_probe p (tables : Column.table array)
+    (yield : int array -> unit) =
   let n = Array.length tables in
   let cards = Array.map (fun (t : Column.table) -> t.Column.nrows) tables in
   let order = greedy_order p cards in
@@ -449,71 +270,55 @@ let execute_columnar ?pool ~on_build ~on_probe p (tables : Column.table array)
               })
       rest
   in
-  let dn = cards.(driver) in
-  let run_chunk slot lo hi =
-    let current = Array.make n 0 in
-    (* per-step probe-row scratch: private to this chunk, refilled
-       before each probe and left untouched by deeper steps *)
-    let scratch =
-      Array.of_list
-        (List.map
-           (function
-             | C_scan _ -> [||]
-             | C_single { pkey; _ } | C_probe { pkey; _ } ->
-               Array.make (Array.length pkey) 0)
-           steps)
-    in
-    let single_matches skey pkey pops =
-      let ok = ref true in
-      let e = ref 0 in
-      let ne = Array.length skey in
-      while !ok && !e < ne do
-        if not (Column.cell_equal skey.(!e) 0 pkey.(!e) current.(pops.(!e)))
-        then ok := false;
-        incr e
+  let current = Array.make n 0 in
+  (* per-step probe-row scratch, refilled before each probe and left
+     untouched by deeper steps *)
+  let scratch =
+    Array.of_list
+      (List.map
+         (function
+           | C_scan _ -> [||]
+           | C_single { pkey; _ } | C_probe { pkey; _ } ->
+             Array.make (Array.length pkey) 0)
+         steps)
+  in
+  let single_matches skey pkey pops =
+    let ok = ref true in
+    let e = ref 0 in
+    let ne = Array.length skey in
+    while !ok && !e < ne do
+      if not (Column.cell_equal skey.(!e) 0 pkey.(!e) current.(pops.(!e)))
+      then ok := false;
+      incr e
+    done;
+    !ok
+  in
+  let rec go si = function
+    | [] -> yield current
+    | C_scan k :: deeper ->
+      for r = 0 to cards.(k) - 1 do
+        current.(k) <- r;
+        go (si + 1) deeper
+      done
+    | C_single { op; skey; pkey; pops } :: deeper ->
+      if single_matches skey pkey pops then begin
+        current.(op) <- 0;
+        go (si + 1) deeper
+      end
+    | C_probe pr :: deeper ->
+      on_probe ();
+      let rows = scratch.(si) in
+      for e = 0 to Array.length rows - 1 do
+        rows.(e) <- current.(pr.pops.(e))
       done;
-      !ok
-    in
-    let rec go si = function
-      | [] -> yield slot current
-      | C_scan k :: deeper ->
-        for r = 0 to cards.(k) - 1 do
-          current.(k) <- r;
-          go (si + 1) deeper
-        done
-      | C_single { op; skey; pkey; pops } :: deeper ->
-        if single_matches skey pkey pops then begin
-          current.(op) <- 0;
-          go (si + 1) deeper
-        end
-      | C_probe pr :: deeper ->
-        on_probe slot;
-        let rows = scratch.(si) in
-        for e = 0 to Array.length rows - 1 do
-          rows.(e) <- current.(pr.pops.(e))
-        done;
-        let r = ref (Column.Index.first pr.index ~key:pr.pkey ~rows) in
-        while !r >= 0 do
-          current.(pr.op) <- !r;
-          go (si + 1) deeper;
-          r := Column.Index.next pr.index ~key:pr.pkey ~rows !r
-        done
-    in
-    for i = lo to hi - 1 do
-      current.(driver) <- i;
-      go 0 steps
-    done
+      let r = ref (Column.Index.first pr.index ~key:pr.pkey ~rows) in
+      while !r >= 0 do
+        current.(pr.op) <- !r;
+        go (si + 1) deeper;
+        r := Column.Index.next pr.index ~key:pr.pkey ~rows !r
+      done
   in
-  let nchunks =
-    match pool with
-    | None -> 1
-    | Some pool ->
-      chunk_plan ~slots:(Domain_pool.size pool) ~min_chunk:Column.chunk_rows dn
-  in
-  if nchunks = 1 then run_chunk 0 0 dn
-  else
-    match pool with
-    | Some pool ->
-      Domain_pool.run pool nchunks (fun c ->
-          run_chunk c (c * dn / nchunks) ((c + 1) * dn / nchunks))
-    | None -> assert false
+  for i = 0 to cards.(driver) - 1 do
+    current.(driver) <- i;
+    go 0 steps
+  done

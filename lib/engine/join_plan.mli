@@ -45,29 +45,6 @@ val execute :
     empty; with zero operands yields the single empty combination, like
     the cartesian enumerator. *)
 
-val execute_parallel :
-  pool:Domain_pool.t ->
-  on_build:(int -> unit) ->
-  on_probe:(int -> unit) ->
-  t ->
-  Relation.t array ->
-  (int -> Relation.tuple list -> unit) ->
-  unit
-(** The partitioned parallel executor ({!Eval.Physical.Parallel}): the
-    build side of every hash step is partitioned by key hash across the
-    pool, and the first operand's tuples are cut into contiguous chunks
-    walked depth-first through the step list in parallel, streaming
-    combinations to [yield].  All callbacks receive the slot (chunk or
-    build-partition) index, in [\[0, Domain_pool.size pool)]; calls for
-    one slot are sequential, calls for distinct slots may be concurrent,
-    so callbacks must only touch slot-private state.  Yields the same
-    combination multiset as {!execute} (in a different order) and fires
-    the same {e total} number of [on_build]/[on_probe] callbacks,
-    independent of the pool size; the per-slot split is deterministic
-    for a fixed pool size.  [yield] and the callbacks run on worker
-    domains: they must not emit {!Eds_obs.Obs} events or touch shared
-    mutable state. *)
-
 val columnar_ok : t -> Column.table array -> bool
 (** Whether {!execute_columnar} may run this plan over these operand
     tables: every equi edge's two columns must be in range and share a
@@ -76,23 +53,18 @@ val columnar_ok : t -> Column.table array -> bool
     {e every} operand has a columnar shadow. *)
 
 val execute_columnar :
-  ?pool:Domain_pool.t ->
   on_build:(unit -> unit) ->
-  on_probe:(int -> unit) ->
+  on_probe:(unit -> unit) ->
   t ->
   Column.table array ->
-  (int -> int array -> unit) ->
+  (int array -> unit) ->
   unit
 (** The vectorized executor: same combination set and the same
     [on_build]/[on_probe] {e totals} as {!execute}, but enumeration
     runs entirely over typed column arrays — probe keys hash and
-    compare as packed ints, and [yield slot rows] hands over the
-    per-operand {e row numbers} ([rows.(k)] indexes operand [k]'s
-    table) so the caller materializes boxed tuples only for surviving
-    combinations.  [rows] is a reused cursor: read it during the
-    callback, don't keep it.  Index builds run sequentially on the
-    caller ([on_build] needs no slot); with a [pool], driver rows are
-    cut into chunks of at least {!Column.chunk_rows} and [yield]/
-    [on_probe] follow the slot discipline of {!execute_parallel},
-    otherwise everything runs on slot 0.  Precondition: {!columnar_ok}
-    holds and no operand table is empty. *)
+    compare as packed ints, and [yield rows] hands over the per-operand
+    {e row numbers} ([rows.(k)] indexes operand [k]'s table) so the
+    caller materializes boxed tuples only for surviving combinations.
+    [rows] is a reused cursor: read it during the callback, don't keep
+    it.  Precondition: {!columnar_ok} holds and no operand table is
+    empty. *)

@@ -67,7 +67,7 @@ val views : t -> view list
 val initialize :
   t ->
   physical:Eval.Physical.t ->
-  ?domains:int ->
+ 
   ?stats:Eval.stats ->
   Database.t ->
   string ->
@@ -79,7 +79,7 @@ val initialize :
 val refresh :
   t ->
   physical:Eval.Physical.t ->
-  ?domains:int ->
+ 
   ?stats:Eval.stats ->
   Database.t ->
   string ->
@@ -90,7 +90,7 @@ val refresh :
 val apply :
   t ->
   physical:Eval.Physical.t ->
-  ?domains:int ->
+ 
   ?stats:Eval.stats ->
   ?recompute_cost:(Lera.rel -> float) ->
   Database.t ->

@@ -32,36 +32,40 @@ module Tuple_tbl = Hashtbl.Make (Tuple_key)
 
 type index = unit Tuple_tbl.t
 
+(* A memo cell that any number of threads and domains may read at once:
+   the first readers each build the value, and the first to finish
+   publishes it with a compare-and-set; later readers get the published
+   value.  The builds are pure, so losing the race only wastes one
+   build.  ([Lazy.t] is not safe here: a thread forcing a suspension
+   that another thread is still forcing raises [Lazy.Undefined].) *)
+type 'a memo = 'a option Atomic.t
+
+let rec memo_get (cell : 'a memo) build =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+    let v = build () in
+    if Atomic.compare_and_set cell None (Some v) then v else memo_get cell build
+
 type t = {
   schema : Schema.t;
   tuples : tuple list;
   card : int;
-  index : index Lazy.t;
-  cols : Column.table option Lazy.t;
+  index : index memo;
+  cols : Column.table option memo;
 }
 
-let build_index card tuples =
-  lazy
-    (let tbl = Tuple_tbl.create (max 16 card) in
-     List.iter (fun tup -> Tuple_tbl.replace tbl tup ()) tuples;
-     tbl)
-
-(* The columnar shadow is derived from the canonical tuple list at
-   every construction (never carried over from an operand), so set
-   operations can take any representation shortcut without the two
-   views drifting apart. *)
-let build_cols schema card tuples =
-  lazy (Column.of_tuples ~arity:(Schema.arity schema) card tuples)
-
-(* sorted, duplicate-free input *)
+(* sorted, duplicate-free input.  Both caches are derived from the
+   canonical tuple list at every construction (never carried over from
+   an operand), so set operations can take any representation shortcut
+   without the views drifting apart. *)
 let of_sorted schema tuples =
-  let card = List.length tuples in
   {
     schema;
     tuples;
-    card;
-    index = build_index card tuples;
-    cols = build_cols schema card tuples;
+    card = List.length tuples;
+    index = Atomic.make None;
+    cols = Atomic.make None;
   }
 
 let make schema tuples =
@@ -89,16 +93,17 @@ let with_schema schema r =
 let cardinality r = r.card
 let is_empty r = r.card = 0
 
-let mem tup r = r.card > 0 && Tuple_tbl.mem (Lazy.force r.index) tup
+let index r =
+  memo_get r.index (fun () ->
+      let tbl = Tuple_tbl.create (max 16 r.card) in
+      List.iter (fun tup -> Tuple_tbl.replace tbl tup ()) r.tuples;
+      tbl)
 
-(* Force the hash-set view on the calling domain.  [Lazy.force] from
-   several domains at once on an unforced suspension is a race (it can
-   raise [Lazy.Undefined]); forcing here first makes subsequent
-   concurrent [mem] calls plain reads of the forced value. *)
-let force_index r = if r.card > 0 then ignore (Lazy.force r.index)
+let mem tup r = r.card > 0 && Tuple_tbl.mem (index r) tup
 
-let columns r = Lazy.force r.cols
-let force_columns r = ignore (Lazy.force r.cols)
+let columns r =
+  memo_get r.cols (fun () ->
+      Column.of_tuples ~arity:(Schema.arity r.schema) r.card r.tuples)
 
 (* Subset keeping the canonical order: a filtered sorted duplicate-free
    list is still sorted and duplicate-free, so no re-sort. *)

@@ -23,12 +23,18 @@ module Tuple_tbl : Hashtbl.S with type key = tuple
 type index
 (** The hash-set view of a relation's tuples. *)
 
+type 'a memo
+(** A cache cell built on first use and safe to read from any number of
+    threads and domains at once: concurrent first readers may each
+    build the (pure) value, and one of the builds is published with a
+    compare-and-set. *)
+
 type t = private {
   schema : Schema.t;
   tuples : tuple list;  (** sorted, duplicate-free *)
   card : int;  (** [List.length tuples], cached *)
-  index : index Lazy.t;  (** hash-set over [tuples], built on first use *)
-  cols : Column.table option Lazy.t;
+  index : index memo;  (** hash-set over [tuples], built on first use *)
+  cols : Column.table option memo;
       (** typed columnar shadow, derived from [tuples] on first use;
           [None] when the schema or the values disqualify (see
           {!Column.of_tuples}) *)
@@ -49,22 +55,13 @@ val cardinality : t -> int
 val is_empty : t -> bool
 
 val mem : tuple -> t -> bool
-(** O(1) expected: probes the hash-set view. *)
-
-val force_index : t -> unit
-(** Build the hash-set view now, on the calling domain.  Required before
-    calling {!mem} concurrently from several domains: forcing the same
-    lazy suspension from two domains races, reading a forced one does
-    not. *)
+(** O(1) expected: probes the hash-set view.  Safe to call concurrently
+    from several threads or domains. *)
 
 val columns : t -> Column.table option
 (** The columnar shadow of the tuples, built on first use; [None] when
-    the relation does not qualify.  Same cross-domain caveat as the
-    hash-set view: force on one domain (see {!force_columns}) before
-    reading from several. *)
-
-val force_columns : t -> unit
-(** Build the columnar shadow now, on the calling domain. *)
+    the relation does not qualify.  Safe to call concurrently, like
+    {!mem}. *)
 
 val filteri : (int -> tuple -> bool) -> t -> t
 (** Subset of the tuples by position (0-based, canonical order) and

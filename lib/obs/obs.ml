@@ -474,15 +474,7 @@ let pretty_sink ppf =
    array, so a crashed run still loads. *)
 let trace_event_json ?(pid = 1) ?(tid = 1) (e : event) : Json.t =
   let us t = Json.Float (t *. 1e6) in
-  (* a ["tid"] attribute overrides the record's thread id — how the
-     parallel evaluator attributes per-worker counter shares to distinct
-     trace rows without a per-domain sink *)
   let base name cat ph ts attrs rest =
-    let tid, attrs =
-      match List.assoc_opt "tid" attrs with
-      | Some (Json.Int t) -> (t, List.remove_assoc "tid" attrs)
-      | Some _ | None -> (tid, attrs)
-    in
     let args = if attrs = [] then [] else [ ("args", Json.Obj attrs) ] in
     Json.Obj
       ([

@@ -77,10 +77,7 @@ val memory_sink : unit -> sink * (unit -> event list)
 val tee : sink -> sink -> sink
 
 val trace_event_json : ?pid:int -> ?tid:int -> event -> Json.t
-(** One Chrome trace-event record.  An integer ["tid"] attribute on the
-    event overrides the record's thread id (and is dropped from [args]):
-    the parallel evaluator uses this to attribute per-worker counter
-    shares to distinct trace rows. *)
+(** One Chrome trace-event record. *)
 
 (** {1 Global sink} *)
 

@@ -1,7 +1,7 @@
 (* Randomized schema-correct LERA plans and database instances — the
    qcheck generators that power the physical-layer equivalence suite,
    extracted here so the rule verifier can reuse them (the same plan
-   distribution that checks Naive ≡ Indexed ≡ Parallel also checks
+   distribution that checks Naive ≡ Indexed also checks
    rewritten ≡ unrewritten).
 
    Generated plans range over a fixed four-relation schema (R0, R1

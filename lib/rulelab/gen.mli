@@ -4,7 +4,7 @@
 
     Extracted from the physical-layer equivalence suite so the rule
     verifier ({!Verify}) draws from the same plan distribution that
-    checks Naive ≡ Indexed ≡ Parallel. *)
+    checks Naive ≡ Indexed. *)
 
 module Lera = Eds_lera.Lera
 module Database = Eds_engine.Database

@@ -32,14 +32,13 @@ let work_queries =
 let report_total get report =
   Eval.fold_report (fun acc n -> acc + get n) 0 report
 
-let check_query_accounting physical domains q =
+let check_query_accounting physical q =
   let s = fig8_session () in
   Session.set_physical s physical;
-  Session.set_domains s domains;
   let plan = Session.explain s q in
   let stats = Eval.fresh_stats () in
   let rel, report =
-    Eval.run_analyzed ~physical ~domains ~stats (Session.snapshot_db s)
+    Eval.run_analyzed ~physical ~stats (Session.snapshot_db s)
       plan.Session.rewritten
   in
   let label name = Fmt.str "%s %s: %s" (Eval.Physical.to_string physical) name q in
@@ -56,17 +55,14 @@ let check_query_accounting physical domains q =
   (* the analyzed run returns the same relation as the plain one *)
   Alcotest.(check bool) (label "result identical") true
     (Relation.equal rel
-       (Eval.run ~physical ~domains (Session.snapshot_db s)
+       (Eval.run ~physical (Session.snapshot_db s)
           plan.Session.rewritten))
 
 let test_report_sums_indexed () =
-  List.iter (check_query_accounting Eval.Physical.Indexed 1) work_queries
+  List.iter (check_query_accounting Eval.Physical.Indexed) work_queries
 
 let test_report_sums_naive () =
-  List.iter (check_query_accounting Eval.Physical.Naive 1) work_queries
-
-let test_report_sums_parallel () =
-  List.iter (check_query_accounting Eval.Physical.Parallel 2) work_queries
+  List.iter (check_query_accounting Eval.Physical.Naive) work_queries
 
 let test_report_shape () =
   let s = fig8_session () in
@@ -151,8 +147,6 @@ let suite =
     Alcotest.test_case "report sums = stats (indexed)" `Quick
       test_report_sums_indexed;
     Alcotest.test_case "report sums = stats (naive)" `Quick test_report_sums_naive;
-    Alcotest.test_case "report sums = stats (parallel)" `Quick
-      test_report_sums_parallel;
     Alcotest.test_case "report tree shape" `Quick test_report_shape;
     Alcotest.test_case "EXPLAIN renders plans" `Quick test_session_explain;
     Alcotest.test_case "EXPLAIN ANALYZE renders phases" `Quick

@@ -3,7 +3,7 @@
    recompute for non-monotone plans), the shared per-relation fixpoint
    cache, the columnar Enum flavor, and two qcheck properties — random
    DML/refresh interleavings keep every maintained extent bit-identical
-   to a never-materialized oracle under all four physical/columnar
+   to a never-materialized oracle under all three physical/columnar
    configurations, and a kill-and-replay run recovers the extents. *)
 
 module Value = Eds_value.Value
@@ -332,7 +332,7 @@ let test_storage_round_trip () =
   Alcotest.(check string) "maintenance after restore agrees" (Storage.dump s)
     (Storage.dump s')
 
-(* -- qcheck: random interleavings vs oracle, 4 configurations ------------ *)
+(* -- qcheck: random interleavings vs oracle, 3 configurations ------------ *)
 
 type op =
   | Ins_edge of int * int
@@ -393,7 +393,6 @@ let configs =
     (Eval.Physical.Naive, false);
     (Eval.Physical.Indexed, false);
     (Eval.Physical.Indexed, true);
-    (Eval.Physical.Parallel, true);
   ]
 
 let run_scenario ~physical ~columnar (sel, ops) =
@@ -407,7 +406,6 @@ let run_scenario ~physical ~columnar (sel, ops) =
       List.iter
         (fun s ->
           Session.set_physical s physical;
-          if physical = Eval.Physical.Parallel then Session.set_domains s 2;
           setup s)
         [ subject; oracle ];
       List.iter (create_view ~materialized:true subject) views;
@@ -429,7 +427,7 @@ let run_scenario ~physical ~columnar (sel, ops) =
         ops)
 
 let prop_maintenance_matches_recompute =
-  QCheck2.Test.make ~name:"maintained extents = full recompute (4 configs)"
+  QCheck2.Test.make ~name:"maintained extents = full recompute (3 configs)"
     ~count:15 ~print:print_scenario gen_scenario (fun scenario ->
       List.iter
         (fun (physical, columnar) -> run_scenario ~physical ~columnar scenario)

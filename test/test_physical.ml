@@ -1,22 +1,18 @@
 (* The physical evaluation layer (Eval.Physical): the indexed hash-join
-   evaluator against the naive cartesian reference, and the parallel
-   partitioned evaluator against both.
+   evaluator, boxed and columnar, against the naive cartesian reference.
 
-   - golden cross-mode suite: on every fixture plan, Naive, Indexed and
-     Parallel (at several domain counts) produce Relation.equal results;
+   - golden cross-mode suite: on every fixture plan, Naive, boxed
+     Indexed and columnar Indexed produce Relation.equal results;
    - work bounds: the Figure-8-shaped selective join stays within a
      hash-work budget that the naive layer exceeds by orders of
      magnitude;
    - set-operation operand validation (union/diff/inter arity errors);
    - Join_plan equi-conjunct extraction;
-   - a qcheck property over random schema-correct LERA plans: all four
-     configurations (Naive, boxed Indexed, columnar Indexed, columnar
-     Parallel) agree, the indexed layer's combinations and probes never
-     exceed the naive layer's combinations, and the parallel layer's
-     aggregated counters equal the indexed layer's exactly at every
-     domain count in {1, 2, 4};
-   - determinism: two Parallel runs at d=4 produce identical relations
-     and identical aggregated work counters;
+   - a qcheck property over random schema-correct LERA plans: all three
+     configurations (Naive, boxed Indexed, columnar Indexed) agree, the
+     indexed layer's combinations and probes never exceed the naive
+     layer's combinations, and the columnar counters equal the boxed
+     ones exactly;
    - columnar activation: qualifying all-scalar plans actually take the
      vectorized paths (columnar_ops > 0) and mixed-flavor or
      disqualified inputs fall back with identical results. *)
@@ -40,21 +36,13 @@ let run_both ?mode db rel =
   in
   ((rn, sn), (ri, si))
 
-let run_parallel ?mode ~domains db rel =
-  let sp = Eval.fresh_stats () in
-  let rp =
-    Eval.run ?mode ~physical:Eval.Physical.Parallel ~domains ~columnar:false
-      ~stats:sp db rel
-  in
-  (rp, sp)
-
-let run_columnar ?mode ?domains ~physical db rel =
+let run_columnar ?mode ~physical db rel =
   let s = Eval.fresh_stats () in
-  let r = Eval.run ?mode ?domains ~physical ~columnar:true ~stats:s db rel in
+  let r = Eval.run ?mode ~physical ~columnar:true ~stats:s db rel in
   (r, s)
 
 (* every counter, including the hash work and the fix-cache ones: the
-   parallel layer must aggregate to exactly the indexed totals *)
+   columnar paths must count exactly what the boxed ones do *)
 let stats_equal (a : Eval.stats) (b : Eval.stats) =
   a.Eval.combinations = b.Eval.combinations
   && a.Eval.tuples_read = b.Eval.tuples_read
@@ -78,17 +66,6 @@ let check_agree ?mode name db rel =
        sn.Eval.combinations)
     true
     (si.Eval.probes <= sn.Eval.combinations);
-  List.iter
-    (fun domains ->
-      let rp, sp = run_parallel ?mode ~domains db rel in
-      Alcotest.(check bool)
-        (Fmt.str "%s: parallel(d=%d) equals indexed" name domains)
-        true (Relation.equal ri rp);
-      Alcotest.(check bool)
-        (Fmt.str "%s: parallel(d=%d) counters equal indexed (%a vs %a)" name
-           domains Eval.pp_stats sp Eval.pp_stats si)
-        true (stats_equal sp si))
-    [ 1; 2; 4 ];
   let rc, sc = run_columnar ?mode ~physical:Eval.Physical.Indexed db rel in
   Alcotest.(check bool)
     (name ^ ": columnar indexed equals boxed indexed")
@@ -96,20 +73,7 @@ let check_agree ?mode name db rel =
   Alcotest.(check bool)
     (Fmt.str "%s: columnar counters equal boxed (%a vs %a)" name Eval.pp_stats
        sc Eval.pp_stats si)
-    true (stats_equal sc si);
-  List.iter
-    (fun domains ->
-      let rp, sp =
-        run_columnar ?mode ~domains ~physical:Eval.Physical.Parallel db rel
-      in
-      Alcotest.(check bool)
-        (Fmt.str "%s: columnar parallel(d=%d) equals indexed" name domains)
-        true (Relation.equal ri rp);
-      Alcotest.(check bool)
-        (Fmt.str "%s: columnar parallel(d=%d) counters equal indexed (%a vs %a)"
-           name domains Eval.pp_stats sp Eval.pp_stats si)
-        true (stats_equal sp si))
-    [ 1; 2; 4 ]
+    true (stats_equal sc si)
 
 (* -- golden cross-mode fixtures ----------------------------------------- *)
 
@@ -295,7 +259,8 @@ let test_random_plans_agree =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:
-         "naive, boxed/columnar indexed and parallel agree on 250 random plans"
+         "naive, boxed/columnar indexed and their counters agree on 250 \
+          random plans"
        ~count:250 ~print:print_plan gen_plan
        (fun (rel, _) ->
          let db = qdb () in
@@ -305,16 +270,7 @@ let test_random_plans_agree =
          && Relation.equal ri rc
          && stats_equal sc si
          && si.Eval.combinations <= sn.Eval.combinations
-         && si.Eval.probes <= sn.Eval.combinations
-         && List.for_all
-              (fun domains ->
-                let rp, sp = run_parallel ~domains db rel in
-                let rpc, spc =
-                  run_columnar ~domains ~physical:Eval.Physical.Parallel db rel
-                in
-                Relation.equal ri rp && stats_equal sp si
-                && Relation.equal ri rpc && stats_equal spc si)
-              [ 1; 2; 4 ]))
+         && si.Eval.probes <= sn.Eval.combinations))
 
 (* -- columnar activation and representation normalization ---------------- *)
 
@@ -439,32 +395,37 @@ let test_union_layout_normalized () =
   Alcotest.(check int) "filteri keeps the kept rows" 3 (Relation.cardinality sub);
   Alcotest.(check bool) "filteri result has a shadow" true (has_cols sub)
 
-(* -- parallel determinism ------------------------------------------------ *)
+(* -- concurrent first use of a relation's caches --------------------------- *)
 
-let test_parallel_determinism () =
-  let plans =
-    [
-      ("chain closure", Fixtures.chain_db 12, tc_fix);
-      ( "fig8 join",
-        fig8_shape_db (),
-        Lera.Search
-          ( [ Lera.Base "FILM"; Lera.Base "APPEARS_IN" ],
-            Lera.eq (Lera.col 1 1) (Lera.col 2 1),
-            [ Lera.col 1 2; Lera.col 2 2 ] ) );
-    ]
-  in
-  List.iter
-    (fun (name, db, rel) ->
-      let r1, s1 = run_parallel ~domains:4 db rel in
-      let r2, s2 = run_parallel ~domains:4 db rel in
-      Alcotest.(check bool)
-        (name ^ ": two d=4 runs produce identical relations")
-        true (Relation.equal r1 r2);
-      Alcotest.(check bool)
-        (Fmt.str "%s: two d=4 runs produce identical counters (%a vs %a)" name
-           Eval.pp_stats s1 Eval.pp_stats s2)
-        true (stats_equal s1 s2))
-    plans
+(* connection threads of the query server share relations whose
+   hash-set view and columnar shadow are built on first use; threads
+   that race to build the same cache must all get a value, never an
+   exception *)
+let test_caches_race_free () =
+  let schema = [ ("A", Vtype.Int); ("S", Vtype.String); ("B", Vtype.Int) ] in
+  let failures = Atomic.make 0 and calls = Atomic.make 0 in
+  for round = 1 to 10 do
+    let tuples =
+      List.init 20_000 (fun i ->
+          [ Value.Int i; Value.Str (Fmt.str "s%d" (i mod 997)); Value.Int round ])
+    in
+    let rel = Relation.make schema tuples in
+    let probe = List.nth tuples 12_345 in
+    let worker () =
+      (match Relation.columns rel with
+      | Some _ -> ()
+      | None -> Atomic.incr failures
+      | exception _ -> Atomic.incr failures);
+      (match Relation.mem probe rel with
+      | true -> ()
+      | false -> Atomic.incr failures
+      | exception _ -> Atomic.incr failures);
+      ignore (Atomic.fetch_and_add calls 2)
+    in
+    List.iter Thread.join (List.init 4 (fun _ -> Thread.create worker ()))
+  done;
+  Alcotest.(check int) "every call returned" 80 (Atomic.get calls);
+  Alcotest.(check int) "no call failed or raised" 0 (Atomic.get failures)
 
 let suite =
   [
@@ -481,6 +442,6 @@ let suite =
       test_columnar_mixed_flavor;
     Alcotest.test_case "set ops normalize columnar layout" `Quick
       test_union_layout_normalized;
-    Alcotest.test_case "parallel determinism at d=4" `Quick
-      test_parallel_determinism;
+    Alcotest.test_case "relation caches race-free across threads" `Quick
+      test_caches_race_free;
   ]

@@ -69,30 +69,30 @@ let test_directive_errors_kept_alive () =
   Alcotest.(check bool) "loop survived to .help" true
     (contains out "directives:")
 
+(* there is no parallel layer and no worker-domain knob: both
+   directives must be refused without touching the session *)
 let test_domains_and_parallel_directives () =
   let out, final =
     drive
       [
         "CREATE TABLE T (A INT, B INT);";
         "INSERT INTO T VALUES (1, 2);";
-        ".domains 0" (* rejected: must stay at the default *);
-        ".domains 2";
         ".physical parallel";
+        ".domains 2";
         "SELECT A FROM T WHERE A = 1;";
         ".stats";
         ".quit";
       ]
   in
-  Alcotest.(check bool) "domains 0 rejected" true
-    (contains out "usage: .domains N");
-  Alcotest.(check bool) "domains set" true (contains out "domains: 2");
-  Alcotest.(check bool) "parallel layer selected" true
-    (contains out "physical layer: parallel");
-  Alcotest.(check bool) "query ran under the parallel layer" true
-    (contains out "(1 tuple)");
-  Alcotest.(check bool) ".stats reports the layer" true
-    (contains out "physical layer   : parallel");
-  Alcotest.(check int) "session really holds the knob" 2 (Session.domains final)
+  Alcotest.(check bool) ".physical parallel prints the usage line" true
+    (contains out "physical layer: indexed (usage: .physical naive|indexed)");
+  Alcotest.(check bool) ".domains is an unknown directive" true
+    (contains out "unknown directive .domains");
+  Alcotest.(check bool) "query still runs" true (contains out "(1 tuple)");
+  Alcotest.(check bool) ".stats reports the unchanged layer" true
+    (contains out "physical layer   : indexed");
+  Alcotest.(check bool) "session keeps the indexed layer" true
+    (Session.physical final = Eds_engine.Eval.Physical.Indexed)
 
 let suite =
   [

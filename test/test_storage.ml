@@ -146,7 +146,7 @@ let test_restore_rejects_garbage () =
 
 (* the server workload must survive dump → restore bit-identically on
    every physical layer: render each query on the original session, then
-   re-render on the restored one under Naive, Indexed and Parallel *)
+   re-render on the restored one under Naive and Indexed *)
 let test_dump_restore_across_physical_layers () =
   let module Loadtest = Eds_server.Loadtest in
   let module Eval = Eds_engine.Eval in
@@ -158,7 +158,6 @@ let test_dump_restore_across_physical_layers () =
     (fun physical ->
       let s' = Storage.restore dumped in
       Session.set_physical s' physical;
-      if physical = Eval.Physical.Parallel then Session.set_domains s' 2;
       List.iter
         (fun (q, want) ->
           let got = List.assoc q (Loadtest.expected_payloads s') in
@@ -166,7 +165,7 @@ let test_dump_restore_across_physical_layers () =
             (Fmt.str "%s under %s" q (Eval.Physical.to_string physical))
             want got)
         expected)
-    [ Eval.Physical.Naive; Eval.Physical.Indexed; Eval.Physical.Parallel ]
+    [ Eval.Physical.Naive; Eval.Physical.Indexed ]
 
 let test_save_load_files () =
   let s = film_session () in
@@ -295,7 +294,7 @@ let prop_interned_column_round_trip =
             Test.fail_reportf "recovered dump differs:@.%s@.vs@.%s" got_dump
               want_dump;
           (* every physical layer renders the probe queries identically,
-             with the columnar path live on Indexed/Parallel *)
+             with the columnar path live on Indexed *)
           let probe = List.nth rows (List.length rows / 2) in
           let queries =
             [
@@ -315,7 +314,6 @@ let prop_interned_column_round_trip =
             (fun physical ->
               let s' = Storage.restore got_dump in
               Session.set_physical s' physical;
-              if physical = Eval.Physical.Parallel then Session.set_domains s' 2;
               List.iter2
                 (fun q want ->
                   if render s' q <> want then
@@ -323,7 +321,7 @@ let prop_interned_column_round_trip =
                       (Eval.Physical.to_string physical)
                       q)
                 queries wants)
-            [ Eval.Physical.Naive; Eval.Physical.Indexed; Eval.Physical.Parallel ];
+            [ Eval.Physical.Naive; Eval.Physical.Indexed ];
           (* intern-id stability: recovery re-interns the same strings,
              and ids already issued never move *)
           List.for_all

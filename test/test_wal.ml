@@ -321,11 +321,10 @@ let prop_kill_and_replay =
               (fun physical ->
                 let s' = Storage.restore got in
                 Session.set_physical s' physical;
-                if physical = Eval.Physical.Parallel then Session.set_domains s' 2;
                 if render s' <> want_rows then
                   QCheck2.Test.fail_reportf "layer %s disagrees after recovery"
                     (Eval.Physical.to_string physical))
-              [ Eval.Physical.Naive; Eval.Physical.Indexed; Eval.Physical.Parallel ]
+              [ Eval.Physical.Naive; Eval.Physical.Indexed ]
           end;
           (* and recovery is idempotent: a second crash-boot is stable *)
           dump_of_recovery db = want))
