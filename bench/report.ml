@@ -915,7 +915,29 @@ let e4 () =
             metric_int "e4.plan_cache.misses" o.Loadtest.cache_misses;
             metric_float "e4.plan_cache.hit_rate" o.Loadtest.hit_rate
           end))
-    [ 1; 4; 16 ]
+    [ 1; 4; 16 ];
+  (* distinct literals: every request a text never seen before, so the
+     exact-text cache alone would miss each one; the template-keyed cache
+     plans each of the four templates once.  One client, so the miss
+     count is exact and gated as a work counter. *)
+  let s = Session.create () in
+  Loadtest.apply_setup s;
+  let srv = Server.start s in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let o = Loadtest.run_param ~port:(Server.port srv) ~clients:1 ~per_client:total () in
+      row
+        "  distinct literals, 1 client × %3d: %4d ok, %5.0f q/s, p50 %5.2f ms, \
+         %d misses, hit rate %.2f, verified %b@."
+        total o.Loadtest.ok o.Loadtest.qps o.Loadtest.p50_ms o.Loadtest.cache_misses
+        o.Loadtest.hit_rate o.Loadtest.bit_identical;
+      metric_int "e4.param.ok" o.Loadtest.ok;
+      metric_int "e4.param.error_responses" o.Loadtest.errors;
+      metric_bool "e4.param.bit_identical" o.Loadtest.bit_identical;
+      metric_int "e4.param.plan_cache.misses" o.Loadtest.cache_misses;
+      metric_bool "e4.param.hit_rate_ge_95" (o.Loadtest.hit_rate >= 0.95);
+      metric_float "e4.param.qps" o.Loadtest.qps)
 
 (* -- E5: mixed read/write load, lock-free snapshot reads ------------------ *)
 

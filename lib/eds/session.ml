@@ -446,7 +446,7 @@ let query s input =
   | Done | Inserted _ | Deleted _ | Updated _ | Report _ ->
     error "expected a SELECT statement"
 
-let explain s input =
+let parse_select input =
   wrap_errors @@ fun () ->
   let t0 = Obs.now () in
   let stmt =
@@ -455,9 +455,14 @@ let explain s input =
   let parse_s = Obs.now () -. t0 in
   Metrics.Histogram.observe m_parse parse_s;
   match stmt with
-  | Ast.Select_stmt sel | Ast.Explain { query = sel; _ } ->
-    plan_select ~parse_s s sel
+  | Ast.Select_stmt sel | Ast.Explain { query = sel; _ } -> (sel, parse_s)
   | _ -> error "EXPLAIN expects a SELECT statement"
+
+let plan_ast ?parse_s s sel = wrap_errors (fun () -> plan_select ?parse_s s sel)
+
+let explain s input =
+  let sel, parse_s = parse_select input in
+  plan_ast ~parse_s s sel
 
 let eval_stats s = s.eval_stats
 let last_rewrite_stats s = s.last_rewrite_stats

@@ -103,6 +103,17 @@ type plan = {
 val explain : t -> string -> plan
 (** Translate and rewrite a SELECT without executing it. *)
 
+val parse_select : string -> Ast.select * float
+(** Parse a SELECT (or [EXPLAIN SELECT]) text, returning it with the
+    parse time; {!explain} is [parse_select] then {!plan_ast}.  Parsing
+    reads no session state. *)
+
+val plan_ast : ?parse_s:float -> t -> Ast.select -> plan
+(** Translate and rewrite a parsed SELECT.  A template carrying
+    {!Eds_esql.Ast.Param} slots plans to a generic plan with
+    {!Lera.Param} parameters, which must be {!Lera.bind}ed before
+    evaluation. *)
+
 (** {1 Observability} *)
 
 val eval_stats : t -> Eval.stats

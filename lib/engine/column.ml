@@ -287,7 +287,7 @@ module Pred = struct
       | Value.Oid x -> `G (G_oid (fun _ -> x))
       | Value.Null | Value.Bool _ | Value.Tuple _ -> `Rank (Value.rank v)
       | Value.Set _ | Value.Bag _ | Value.List _ | Value.Array _ -> `Bad)
-    | Lera.Call _ -> `Bad
+    | Lera.Call _ | Lera.Param _ -> `Bad
 
   let atom tables a b =
     match a, b with
@@ -353,7 +353,7 @@ module Pred = struct
           | `Cmp f -> `P (fun rows -> test (f rows))
           | `Bad -> `O)
         | Some _ | None -> `O)
-      | Lera.Call _ | Lera.Col _ -> `O
+      | Lera.Call _ | Lera.Col _ | Lera.Param _ -> `O
     in
     match comp q with
     | `T -> Always

@@ -10,6 +10,7 @@ let error fmt = Fmt.kstr (fun s -> raise (Eval_error s)) fmt
 let rec eval db ~inputs (s : Lera.scalar) : Value.t =
   match s with
   | Lera.Cst v -> v
+  | Lera.Param (i, _) -> error "unbound template parameter $%d" i
   | Lera.Col (i, j) -> (
     match List.nth_opt inputs (i - 1) with
     | None -> error "column %d.%d: %d operands available" i j (List.length inputs)

@@ -20,6 +20,7 @@ type expr =
   | Set_lit of expr list
   | List_lit of expr list
   | In of expr * expr
+  | Param of int * Value.t
 
 and quantifier = All | Exist
 
@@ -69,6 +70,7 @@ let rec pp_expr ppf = function
   | Set_lit es -> Fmt.pf ppf "{%a}" (Fmt.list ~sep:comma pp_expr) es
   | List_lit es -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:comma pp_expr) es
   | In (e, s) -> Fmt.pf ppf "(%a IN %a)" pp_expr e pp_expr s
+  | Param (i, _) -> Fmt.pf ppf "$%d" i
 
 let pp_proj_item ppf (e, alias) =
   match alias with

@@ -28,6 +28,12 @@ type expr =
   | Set_lit of expr list  (** [{'a', 'b'}] or IN-lists *)
   | List_lit of expr list
   | In of expr * expr
+  | Param of int * Value.t
+      (** [Param (i, v)]: slot [i] of a query template, erased from the
+          literal [v] ({!Template.erase}).  Translation turns it into a
+          {!Eds_lera.Lera.Param}; the value is read only where the
+          translation depends on it (enumeration coercion), which pins
+          the slot back into a literal.  The parser never produces it. *)
 
 and quantifier = All | Exist
 

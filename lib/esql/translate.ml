@@ -36,15 +36,16 @@ let element_type ctx ty = Vtype.element_type (Catalog.types ctx.catalog) ty
 
 (* Coerce a string literal to an enumeration constant when the other side
    of a comparison (or the element type of a membership test) is an
-   enumeration — the "necessary conversion functions" of §3.3. *)
-let coerce_scalar ctx expected (s, ty) =
-  match s, enum_of ctx expected with
-  | Lera.Cst (Value.Str lit), Some (n, labels) when List.mem lit labels ->
-    (Lera.Cst (Value.Enum (n, lit)), expected)
-  | Lera.Cst (Value.Str lit), Some (n, _) ->
-    ignore n;
-    ignore lit;
-    (s, ty)
+   enumeration — the "necessary conversion functions" of §3.3.  The
+   outcome depends on the literal's value, so a template slot [e] holding
+   a string is pinned here: it translates to its literal, never to a
+   parameter. *)
+let coerce_scalar ctx expected (e : Ast.expr) (s, ty) =
+  match s, e, enum_of ctx expected with
+  | Lera.Cst (Value.Str lit), _, Some (n, labels)
+  | Lera.Param _, Ast.Param (_, Value.Str lit), Some (n, labels) ->
+    if List.mem lit labels then (Lera.Cst (Value.Enum (n, lit)), expected)
+    else (Lera.Cst (Value.Str lit), ty)
   | _ -> (s, ty)
 
 let is_collection_type ctx ty =
@@ -102,6 +103,9 @@ let comparison_ops = [ "="; "<>"; "<"; "<="; ">"; ">=" ]
 let rec tr_expr ctx (e : Ast.expr) : Lera.scalar * Vtype.t =
   match e with
   | Ast.Lit v -> (Lera.Cst v, Vtype.type_of_value (Catalog.types ctx.catalog) v)
+  | Ast.Param (i, v) ->
+    let ty = Vtype.type_of_value (Catalog.types ctx.catalog) v in
+    (Lera.Param (i, ty), ty)
   | Ast.Ident n -> find_column ctx n
   | Ast.Dot (r, a) -> find_qualified ctx r a
   | Ast.Not e1 ->
@@ -115,8 +119,8 @@ let rec tr_expr ctx (e : Ast.expr) : Lera.scalar * Vtype.t =
     (Lera.disj [ sa; sb ], Vtype.Bool)
   | Ast.Binop (op, a, b) when List.mem op comparison_ops ->
     let (sa, ta) = tr_expr ctx a and (sb, tb) = tr_expr ctx b in
-    let sa, ta = coerce_scalar ctx tb (sa, ta) in
-    let sb, tb = coerce_scalar ctx ta (sb, tb) in
+    let sa, ta = coerce_scalar ctx tb a (sa, ta) in
+    let sb, tb = coerce_scalar ctx ta b (sb, tb) in
     let result_ty =
       if is_collection_type ctx ta then wrap_like ctx ta Vtype.Bool
       else if is_collection_type ctx tb then wrap_like ctx tb Vtype.Bool
@@ -142,7 +146,7 @@ let rec tr_expr ctx (e : Ast.expr) : Lera.scalar * Vtype.t =
     let se, te = tr_expr ctx e1 in
     let se, _ =
       match element_type ctx tc with
-      | Some ety -> coerce_scalar ctx ety (se, te)
+      | Some ety -> coerce_scalar ctx ety e1 (se, te)
       | None -> (se, te)
     in
     (Lera.Call ("member", [ se; sc ]), Vtype.Bool)
@@ -161,11 +165,11 @@ and tr_call ctx f args =
   | Some entry -> (
     (* member('Adventure', Categories): coerce the element against the
        collection's element type *)
-    match lc entry.Adt.name, targs with
-    | "member", [ (se, te); (sc, tc) ] ->
+    match lc entry.Adt.name, targs, args with
+    | "member", [ (se, te); (sc, tc) ], [ e1; _ ] ->
       let se, _ =
         match element_type ctx tc with
-        | Some ety -> coerce_scalar ctx ety (se, te)
+        | Some ety -> coerce_scalar ctx ety e1 (se, te)
         | None -> (se, te)
       in
       (Lera.Call ("member", [ se; sc ]), Vtype.Bool)
@@ -328,7 +332,9 @@ and one_arm catalog ~stack ~self (s : Ast.select) : Lera.rel =
     | Ast.Binop (_, a, b) -> contains_makeset a || contains_makeset b
     | Ast.Not a | Ast.Quant (_, a) -> contains_makeset a
     | Ast.In (a, b) -> contains_makeset a || contains_makeset b
-    | Ast.Lit _ | Ast.Ident _ | Ast.Dot _ | Ast.Set_lit _ | Ast.List_lit _ -> false
+    | Ast.Lit _ | Ast.Param _ | Ast.Ident _ | Ast.Dot _ | Ast.Set_lit _
+    | Ast.List_lit _ ->
+      false
   in
   let has_nest =
     List.exists (fun (e, _) -> contains_makeset e) s.Ast.proj
@@ -353,7 +359,9 @@ and one_arm catalog ~stack ~self (s : Ast.select) : Lera.rel =
       | Ast.Binop (_, a, b) -> makeset_args a @ makeset_args b
       | Ast.Not a | Ast.Quant (_, a) -> makeset_args a
       | Ast.In (a, b) -> makeset_args a @ makeset_args b
-      | Ast.Lit _ | Ast.Ident _ | Ast.Dot _ | Ast.Set_lit _ | Ast.List_lit _ -> []
+      | Ast.Lit _ | Ast.Param _ | Ast.Ident _ | Ast.Dot _ | Ast.Set_lit _
+      | Ast.List_lit _ ->
+        []
     in
     let nested_arg =
       match
@@ -389,7 +397,7 @@ and one_arm catalog ~stack ~self (s : Ast.select) : Lera.rel =
           | Ast.Not a -> Ast.Not (substitute a)
           | Ast.Quant (q, a) -> Ast.Quant (q, substitute a)
           | Ast.In (a, b) -> Ast.In (substitute a, substitute b)
-          | Ast.Lit _ | Ast.Set_lit _ | Ast.List_lit _ -> e
+          | Ast.Lit _ | Ast.Param _ | Ast.Set_lit _ | Ast.List_lit _ -> e
           | Ast.Ident n ->
             error "projection %s is neither grouped nor over MakeSet" n
           | Ast.Dot (r, a) ->

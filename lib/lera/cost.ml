@@ -9,13 +9,15 @@ let pp ppf e = Fmt.pf ppf "card≈%.0f cost≈%.0f" e.cardinality e.cost
 
 let default_cardinality = 1000.
 
-let is_constant = function Lera.Cst _ -> true | Lera.Col _ | Lera.Call _ -> false
+let is_constant = function
+  | Lera.Cst _ | Lera.Param _ -> true
+  | Lera.Col _ | Lera.Call _ -> false
 
 let rec selectivity (q : Lera.scalar) : float =
   match q with
   | Lera.Cst (Value.Bool true) -> 1.
   | Lera.Cst (Value.Bool false) -> 0.
-  | Lera.Cst _ | Lera.Col _ -> 0.5
+  | Lera.Cst _ | Lera.Col _ | Lera.Param _ -> 0.5
   | Lera.Call ("and", cs) -> List.fold_left (fun s c -> s *. selectivity c) 1. cs
   | Lera.Call ("or", cs) ->
     Float.min 1. (List.fold_left (fun s c -> s +. selectivity c) 0. cs)

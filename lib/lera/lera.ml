@@ -1,9 +1,11 @@
 module Value = Eds_value.Value
+module Vtype = Eds_value.Vtype
 
 type scalar =
   | Cst of Value.t
   | Col of int * int
   | Call of string * scalar list
+  | Param of int * Vtype.t
 
 type rel =
   | Base of string
@@ -60,7 +62,8 @@ let rec equal_scalar a b =
   | Call (f, xs), Call (g, ys) ->
     String.equal f g && List.length xs = List.length ys
     && List.for_all2 equal_scalar xs ys
-  | (Cst _ | Col _ | Call _), _ -> false
+  | Param (i, t), Param (i', t') -> i = i' && Vtype.equal t t'
+  | (Cst _ | Col _ | Call _ | Param _), _ -> false
 
 let rec equal r r' =
   match r, r' with
@@ -96,6 +99,7 @@ let rec hash_scalar s =
       (fun acc a -> (acc * 31) + hash_scalar a)
       ((7 * 31) + Hashtbl.hash f)
       args
+  | Param (i, _) -> (59 * 31) + i
 
 let hash_ints seed = List.fold_left (fun acc i -> (acc * 31) + i) seed
 
@@ -133,7 +137,7 @@ let rec operator_count r =
 
 let scalar_cols s =
   let rec go acc = function
-    | Cst _ -> acc
+    | Cst _ | Param _ -> acc
     | Col (i, j) -> (i, j) :: acc
     | Call (_, args) -> List.fold_left go acc args
   in
@@ -173,12 +177,56 @@ let map_scalars f = function
   | Search (rs, q, ps) -> Search (rs, f q, List.map f ps)
   | (Base _ | Rvar _ | Union _ | Diff _ | Inter _ | Fix _ | Nest _ | Unnest _) as r -> r
 
+(* -- template parameters ----------------------------------------------- *)
+
+let rec map_rel_scalars f r =
+  let r = map_scalars f r in
+  match r with
+  | Base _ | Rvar _ -> r
+  | Filter (a, q) -> Filter (map_rel_scalars f a, q)
+  | Project (a, ps) -> Project (map_rel_scalars f a, ps)
+  | Join (a, b, q) -> Join (map_rel_scalars f a, map_rel_scalars f b, q)
+  | Union rs -> Union (List.map (map_rel_scalars f) rs)
+  | Diff (a, b) -> Diff (map_rel_scalars f a, map_rel_scalars f b)
+  | Inter (a, b) -> Inter (map_rel_scalars f a, map_rel_scalars f b)
+  | Search (rs, q, ps) -> Search (List.map (map_rel_scalars f) rs, q, ps)
+  | Fix (n, e) -> Fix (n, map_rel_scalars f e)
+  | Nest (a, g, c) -> Nest (map_rel_scalars f a, g, c)
+  | Unnest (a, i) -> Unnest (map_rel_scalars f a, i)
+
+let rec bind_scalar values s =
+  match s with
+  | Param (i, _) -> Cst values.(i - 1)
+  | Call (f, args) -> Call (f, List.map (bind_scalar values) args)
+  | Cst _ | Col _ -> s
+
+let bind values r = map_rel_scalars (bind_scalar values) r
+
+let params r =
+  let rec scalar acc = function
+    | Param (i, _) -> i :: acc
+    | Call (_, args) -> List.fold_left scalar acc args
+    | Cst _ | Col _ -> acc
+  in
+  let rec go acc r =
+    let own =
+      match r with
+      | Filter (_, q) | Join (_, _, q) -> [ q ]
+      | Project (_, ps) -> ps
+      | Search (_, q, ps) -> q :: ps
+      | Base _ | Rvar _ | Union _ | Diff _ | Inter _ | Fix _ | Nest _ | Unnest _ -> []
+    in
+    List.fold_left go (List.fold_left scalar acc own) (inputs r)
+  in
+  List.sort_uniq Int.compare (go [] r)
+
 (* -- pretty printing --------------------------------------------------- *)
 
 let infix = [ "="; "<>"; "<"; "<="; ">"; ">="; "+"; "-"; "*"; "/" ]
 
 let rec pp_scalar ppf = function
   | Cst v -> Value.pp ppf v
+  | Param (i, ty) -> Fmt.pf ppf "$%d:%a" i Vtype.pp ty
   | Col (i, j) -> Fmt.pf ppf "%d.%d" i j
   | Call ("and", args) ->
     Fmt.pf ppf "%a" (Fmt.list ~sep:(Fmt.any " \xE2\x88\xA7 ") pp_atom) args
@@ -192,7 +240,7 @@ let rec pp_scalar ppf = function
 and pp_atom ppf s =
   match s with
   | Call (("and" | "or"), _) -> Fmt.pf ppf "(%a)" pp_scalar s
-  | Cst _ | Col _ | Call _ -> pp_scalar ppf s
+  | Cst _ | Col _ | Call _ | Param _ -> pp_scalar ppf s
 
 let pp_cols ppf cols = Fmt.list ~sep:(Fmt.any ", ") Fmt.int ppf cols
 

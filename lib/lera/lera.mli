@@ -9,16 +9,23 @@
     second attribute of the first operand of an n-ary operator). *)
 
 module Value = Eds_value.Value
+module Vtype = Eds_value.Vtype
 
-(** Scalar expressions: constants, positional column references and ADT
-    function calls.  Boolean-valued scalars serve as qualifications;
-    conjunction/disjunction/negation are the ADT functions [and]/[or]/
-    [not] so that one expression type covers "possibly complex
-    conditions" uniformly. *)
+(** Scalar expressions: constants, positional column references, ADT
+    function calls and template parameters.  Boolean-valued scalars
+    serve as qualifications; conjunction/disjunction/negation are the
+    ADT functions [and]/[or]/[not] so that one expression type covers
+    "possibly complex conditions" uniformly. *)
 type scalar =
   | Cst of Value.t
   | Col of int * int  (** [Col (i, j)] = [i.j], both 1-based *)
   | Call of string * scalar list
+  | Param of int * Vtype.t
+      (** [Param (i, ty)]: literal slot [i] (1-based) of a query
+          template, of type [ty].  Its value is fixed for a whole
+          execution but unknown while planning: no rewrite may read it,
+          and a plan holding parameters must be {!bind}ed before it is
+          evaluated. *)
 
 type rel =
   | Base of string  (** stored relation *)
@@ -90,6 +97,15 @@ val inputs : rel -> rel list
 val map_scalars : (scalar -> scalar) -> rel -> rel
 (** Rewrite every qualification/projection scalar of the {e root} operator
     (not recursive). *)
+
+(** {1 Template parameters} *)
+
+val bind : Value.t array -> rel -> rel
+(** [bind values r] replaces every [Param (i, _)] by [Cst values.(i-1)]. *)
+
+val params : rel -> int list
+(** The slots of the parameters occurring in [r], ascending, without
+    duplicates. *)
 
 (** {1 Pretty printing (paper concrete syntax)} *)
 

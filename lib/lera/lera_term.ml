@@ -1,13 +1,50 @@
 module Value = Eds_value.Value
+module Vtype = Eds_value.Vtype
 module Term = Eds_term.Term
 
 exception Bridge_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Bridge_error s)) fmt
 
+(* -- parameters -------------------------------------------------------- *)
+
+(* A parameter is a nullary application whose head spells its slot and
+   type, ["$3:int"]: it has no argument a rule could match, read or
+   rebuild, and no ADT function can carry a name starting with '$'. *)
+let param_types = [ ("int", Vtype.Int); ("real", Vtype.Real); ("string", Vtype.String) ]
+
+let param_term i ty =
+  match List.find_opt (fun (_, t) -> Vtype.equal t ty) param_types with
+  | Some (tag, _) -> Term.App (Printf.sprintf "$%d:%s" i tag, [])
+  | None -> error "parameter $%d has non-scalar type %a" i Vtype.pp ty
+
+let is_param_head f = String.length f > 1 && f.[0] = '$'
+
+let param_of_head f =
+  match String.index_opt f ':' with
+  | Some c -> (
+    match
+      ( int_of_string_opt (String.sub f 1 (c - 1)),
+        List.assoc_opt (String.sub f (c + 1) (String.length f - c - 1)) param_types )
+    with
+    | Some i, Some ty -> Lera.Param (i, ty)
+    | _ -> error "malformed parameter %s" f)
+  | None -> error "malformed parameter %s" f
+
+let is_param = function
+  | Term.App (f, []) -> is_param_head f
+  | Term.Var _ | Term.Cvar _ | Term.Cst _ | Term.App _ | Term.Coll _ -> false
+
+let rec has_param t =
+  match t with
+  | Term.App (f, []) -> is_param_head f
+  | Term.App (_, args) | Term.Coll (_, args) -> List.exists has_param args
+  | Term.Var _ | Term.Cvar _ | Term.Cst _ -> false
+
 let rec scalar_to_term (s : Lera.scalar) : Term.t =
   match s with
   | Lera.Cst v -> Term.Cst v
+  | Lera.Param (i, ty) -> param_term i ty
   | Lera.Col (i, j) -> Term.app "@" [ Term.int i; Term.int j ]
   | Lera.Call ("and", args) ->
     Term.app "and" [ Term.Coll (Term.Bag, List.map scalar_to_term args) ]
@@ -23,6 +60,7 @@ let rec scalar_of_term (t : Term.t) : Lera.scalar =
     Lera.conj (List.map scalar_of_term cs)
   | Term.App ("or", [ Term.Coll (Term.Bag, cs) ]) ->
     Lera.disj (List.map scalar_of_term cs)
+  | Term.App (f, []) when is_param_head f -> param_of_head f
   | Term.App (("and" | "or") as f, args) ->
     (* binary form, as written in user rules *)
     let make = if String.equal f "and" then Lera.conj else Lera.disj in

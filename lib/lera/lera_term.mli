@@ -10,7 +10,11 @@
     - scalars: column [i.j] is [@(i, j)]; conjunction is n-ary over an
       unordered constructor, [and(bag(c1, …, cn))], so that semantic
       rules can match any pair of conjuncts with a collection variable
-      (disjunction likewise).
+      (disjunction likewise);
+    - a template parameter [Param (i, ty)] is the nullary application
+      ["$i:ty"] (e.g. [$2:int()]): opaque to patterns, since it has no
+      argument to bind, and never a [Term.Cst], so no rule mistakes it
+      for a known constant.
 
     The unordered conjunction encoding is what makes one Figure-11 rule
     such as transitivity apply to conjuncts in any position. *)
@@ -26,6 +30,14 @@ val of_term : Term.t -> Lera.rel
 
 val scalar_to_term : Lera.scalar -> Term.t
 val scalar_of_term : Term.t -> Lera.scalar
+
+val is_param : Term.t -> bool
+(** Is this term an encoded template parameter? *)
+
+val has_param : Term.t -> bool
+(** Does a parameter occur anywhere in the term?  Built-ins that read a
+    value (ground comparisons, EVALUATE, domain checks, term
+    (in)equality) veto on such terms. *)
 
 val normalize : Term.t -> Term.t
 (** Structural normalization applied after every rewrite step:

@@ -31,6 +31,7 @@ let attr inputs i j =
 let rec scalar_type env ~inputs (s : Lera.scalar) : Vtype.t =
   match s with
   | Lera.Cst v -> Vtype.type_of_value env.types v
+  | Lera.Param (_, ty) -> ty
   | Lera.Col (i, j) -> snd (attr inputs i j)
   | Lera.Call ("value", [ arg ]) -> (
     match scalar_type env ~inputs arg with
@@ -105,7 +106,7 @@ let scalar_name inputs (s : Lera.scalar) =
     | None -> Fmt.str "c%d_%d" i j)
   | Lera.Call ("project", [ _; Lera.Cst (Value.Str field) ]) -> field
   | Lera.Call (f, _) -> f
-  | Lera.Cst _ -> "const"
+  | Lera.Cst _ | Lera.Param _ -> "const"
 
 let nth_attr sch j =
   match List.nth_opt sch (j - 1) with

@@ -134,6 +134,11 @@ exception Rewrite_error of string
 let term_type c env (t : Term.t) : Vtype.t option =
   match t with
   | Term.Cst v -> Some (Vtype.type_of_value c.schema_env.Schema.types v)
+  | Term.App _ when Lera_term.is_param t -> (
+    (* typed like the constant it stands for *)
+    match Lera_term.scalar_of_term t with
+    | Lera.Param (_, ty) -> Some ty
+    | _ -> None)
   | Term.App ("@", [ Term.Cst (Value.Int i); Term.Cst (Value.Int j) ]) -> (
     match env.input_schemas with
     | Some schemas -> (
@@ -161,6 +166,31 @@ let term_type c env (t : Term.t) : Vtype.t option =
 
 let comparison_ops = [ "="; "<>"; "<"; "<="; ">"; ">=" ]
 
+(* Template parameters (Lera.Param) stand for values fixed per execution
+   but unknown while planning, so a built-in may never read one: every
+   rewrite step taken on a template must hold for all its bindings.
+   [settled_equal a b] is term equality as a rule may rely on it —
+   [Some eq] when the answer is [eq] whatever the parameters hold, [None]
+   when it depends on their values: two different parameters, or a
+   parameter and a constant, may hold the same value.  Without
+   parameters it is exactly [Term.equal]. *)
+let rec blur_values (t : Term.t) : Term.t =
+  match t with
+  | Term.App ("@", _) -> t
+  | Term.Cst _ -> Term.Cst Value.Null
+  | Term.App _ when Lera_term.is_param t -> Term.Cst Value.Null
+  | Term.App (f, args) -> Term.App (f, List.map blur_values args)
+  | Term.Coll (k, args) -> Term.Coll (k, List.map blur_values args)
+  | Term.Var _ | Term.Cvar _ -> t
+
+let settled_equal a b =
+  if Term.equal a b then Some true
+  else if
+    (Lera_term.has_param a || Lera_term.has_param b)
+    && Term.equal (blur_values a) (blur_values b)
+  then None
+  else Some false
+
 let rec eval_constraint c env (t : Term.t) : bool =
   match t with
   | Term.Cst (Value.Bool b) -> b
@@ -169,6 +199,10 @@ let rec eval_constraint c env (t : Term.t) : bool =
   | Term.App ("or", [ Term.Coll (Term.Bag, cs) ]) ->
     List.exists (eval_constraint c env) cs
   | Term.App ("not", [ a ]) -> not (eval_constraint c env a)
+  | Term.App (op, args)
+    when List.mem op comparison_ops && List.exists Lera_term.has_param args ->
+    (* a comparison would read the parameter's value: veto *)
+    false
   | Term.App (op, [ Term.Cst a; Term.Cst b ]) when List.mem op comparison_ops -> (
     match Adt.apply c.schema_env.Schema.adts op [ a; b ] with
     | Value.Bool r -> r
@@ -176,8 +210,8 @@ let rec eval_constraint c env (t : Term.t) : bool =
     | exception _ -> false)
   | Term.App ("isa", [ a; ty ]) -> constraint_isa c env a ty
   | Term.App ("notin", a :: members) ->
-    not (List.exists (Term.equal a) members)
-  | Term.App ("distinct", [ a; b ]) -> not (Term.equal a b)
+    List.for_all (fun m -> settled_equal a m = Some false) members
+  | Term.App ("distinct", [ a; b ]) -> settled_equal a b = Some false
   | Term.App ("nonempty", [ Term.Coll (_, elems) ]) ->
     (* a lone collection argument is a matched collection term (a variable
        bound to list(…), set(…), …): test its elements, not the fact that
@@ -218,6 +252,7 @@ and constraint_isa c env a ty =
   in
   match type_name with
   | None -> false
+  (* a parameter is not a constant: its value is unknown while planning *)
   | Some "constant" -> ( match a with Term.Cst _ -> true | _ -> false)
   | Some (("set" | "bag" | "list" | "array" | "collection" | "tuple") as kind) -> (
     let value_is v =
@@ -311,7 +346,7 @@ and constraint_refer_only quals prefix group =
 
 (* not_in_domain(k, col): k is a constant whose value cannot belong to the
    enumeration domain of col's element type — the MEMBER('Cartoon', …)
-   inconsistency of §6.1. *)
+   inconsistency of §6.1.  A parameter is no [Term.Cst], so it vetoes. *)
 and constraint_not_in_domain c env k col =
   match k, term_type c env col with
   | Term.Cst kv, Some ty -> (

@@ -20,11 +20,14 @@ let arms_of = function Lera.Union rs -> rs | r -> [ r ]
 
 (* -- adornment ---------------------------------------------------------- *)
 
+(* A bound is a constant or a template parameter: magic seeding needs a
+   value fixed for the whole execution, not a known one, so a template
+   adorns exactly like each of its bindings. *)
 let adornment qual ~slot ~arity =
   let bound_of_conjunct c =
     match c with
-    | Lera.Call ("=", [ Lera.Col (i, j); (Lera.Cst _ as k) ])
-    | Lera.Call ("=", [ (Lera.Cst _ as k); Lera.Col (i, j) ])
+    | Lera.Call ("=", [ Lera.Col (i, j); ((Lera.Cst _ | Lera.Param _) as k) ])
+    | Lera.Call ("=", [ ((Lera.Cst _ | Lera.Param _) as k); Lera.Col (i, j) ])
       when i = slot && j <= arity ->
       Some (j, k)
     | _ -> None
@@ -63,7 +66,7 @@ let remap_cols mapping (s : Lera.scalar) : Lera.scalar option =
   let ok = ref true in
   let rec go s =
     match s with
-    | Lera.Cst _ -> s
+    | Lera.Cst _ | Lera.Param _ -> s
     | Lera.Col (i, j) -> (
       match List.assoc_opt i mapping with
       | Some i' -> Lera.Col (i', j)

@@ -306,6 +306,7 @@ let m_evaluate c env subst args =
     let* e = input subst e_arg in
     let* out = output subst out_arg in
     (match e with
+    | _ when Lera_term.has_param e -> None  (* never fold a parameter's value *)
     | Term.App (f, fargs) when not (List.mem f structural) ->
       let consts =
         List.map (function Term.Cst v -> Some v | _ -> None) fargs
@@ -416,12 +417,16 @@ let m_domain_constraints c env subst args =
     let conjuncts = match cs with Term.Coll (_, ts) -> ts | t -> [ t ] in
     let* out = output subst out_arg in
     (* candidate typed scalars: every column reference and application
-       subterm of the qualification *)
+       subterm of the qualification.  A parameter stands for a constant,
+       which is no candidate: a literal may lie outside its type's
+       constrained domain. *)
     let candidates =
       List.concat_map
         (fun conj ->
           List.filter
-            (function Term.App _ -> true | _ -> false)
+            (function
+              | Term.App _ as t -> not (Lera_term.is_param t)
+              | _ -> false)
             (Term.subterms conj))
         conjuncts
       |> List.sort_uniq Term.compare

@@ -220,18 +220,29 @@ let simplification_text =
     F(c*) --> a / evaluate(F(c*), a) ;
 |}
 
+(* Each pack is parsed once, when the module initializes: a [Rule.t] has
+   no mutable field, so every program and session shares these lists.
+   Eager rather than [lazy] because concurrent forcing of a lazy value
+   from two threads raises [CamlinternalLazy.Undefined]. *)
 let parse = Rule_parser.parse_rules
+let merging_rules = parse merging_text
+let permutation_rules = parse permutation_text
+let fixpoint_rules = parse fixpoint_text
+let semantic_rules = parse semantic_text
+let simplification_rules = parse simplification_text
 
-let merging () = parse merging_text
-let permutation () = parse permutation_text
-let fixpoint () = parse fixpoint_text
-let semantic () = parse semantic_text
-let simplification () = parse simplification_text
+let all_rules =
+  merging_rules @ permutation_rules @ fixpoint_rules @ semantic_rules
+  @ simplification_rules
 
-let all () =
-  merging () @ permutation () @ fixpoint () @ semantic () @ simplification ()
+let merging () = merging_rules
+let permutation () = permutation_rules
+let fixpoint () = fixpoint_rules
+let semantic () = semantic_rules
+let simplification () = simplification_rules
+let all () = all_rules
 
 let find name =
-  match List.find_opt (fun (r : Rule.t) -> r.Rule.name = name) (all ()) with
+  match List.find_opt (fun (r : Rule.t) -> r.Rule.name = name) all_rules with
   | Some r -> r
   | None -> raise Not_found

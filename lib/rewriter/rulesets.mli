@@ -1,6 +1,8 @@
 (** The default rule library, written in the rule language itself and
-    parsed at load time — rules are data, not code, which is the paper's
-    extensibility claim.  Each set mirrors a figure of the paper:
+    parsed once, at load time — rules are data, not code, which is the
+    paper's extensibility claim.  Every accessor returns the same
+    (physically equal) immutable list on every call.  Each set mirrors
+    a figure of the paper:
 
     - {!merging} — operation merging (§5.1, Figure 7): canonicalize
       filter/project/join into [search], merge nested searches, merge

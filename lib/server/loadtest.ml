@@ -412,8 +412,8 @@ let select_latency_snapshot ~host ~port =
    the read-only mode.  [ddl] gives the client's private schema and
    [op] its deterministic statement stream — the mixed and the
    materialized-view workloads differ only in those two. *)
-let verified_worker_body ~host ~port ~physical ~expected ~ddl ~op ~per_client
-    ~index w =
+let verified_worker_body ?(oracle_setup = []) ~host ~port ~physical ~expected ~ddl
+    ~op ~per_client ~index w =
   match Client.connect ~host port with
   | exception _ -> w.w_dropped <- w.w_dropped + 1
   | client -> (
@@ -423,6 +423,7 @@ let verified_worker_body ~host ~port ~physical ~expected ~ddl ~op ~per_client
           try
             let oracle = Session.create () in
             Session.set_physical oracle physical;
+            List.iter (fun stmt -> ignore (Session.exec_string oracle stmt)) oracle_setup;
             List.iter
               (fun stmt ->
                 match Client.request client stmt with
@@ -645,6 +646,40 @@ let run_mview ?(host = "127.0.0.1") ?(physical = Session.Eval.Physical.Indexed)
   fan_out ~host ~port ~clients ~per_client (fun i w ->
       verified_worker_body ~host ~port ~physical ~expected ~ddl:mview_ddl
         ~op:mview_op ~per_client ~index:i w)
+
+(* -- distinct literals ------------------------------------------------------ *)
+
+(* Four templates over the shared workload, each fed a literal no other
+   request of the run uses: request [n] instantiates template [n mod 4]
+   with literal [n / 4].  Early literals hit data, later ones select
+   nothing; either way no text repeats, so only a template-keyed plan
+   cache can serve them. *)
+let param_templates =
+  [|
+    Printf.sprintf
+      "SELECT Title FROM FILM, APPEARS_IN WHERE FILM.Numf = APPEARS_IN.Numf AND \
+       APPEARS_IN.Actor = 'A%d'";
+    Printf.sprintf
+      "SELECT Actor FROM FILM, APPEARS_IN WHERE FILM.Numf = APPEARS_IN.Numf AND \
+       FILM.Numf = %d";
+    (fun k ->
+      Printf.sprintf
+        "SELECT R.A, T.B FROM R, S, T WHERE R.J = S.J AND S.K = T.K AND T.B = %d"
+        (10 * k));
+    Printf.sprintf "SELECT Dst FROM REACH WHERE Src = %d";
+  |]
+
+let param_query ~per_client ~index j =
+  let n = (index * per_client) + j in
+  param_templates.(n mod Array.length param_templates) (n / Array.length param_templates)
+
+let run_param ?(host = "127.0.0.1") ?(physical = Session.Eval.Physical.Indexed) ~port
+    ~clients ~per_client () =
+  fan_out ~host ~port ~clients ~per_client (fun i w ->
+      verified_worker_body ~oracle_setup:setup_statements ~host ~port ~physical
+        ~expected:[] ~ddl:(fun _ -> [])
+        ~op:(fun ~index j -> `Private_read (param_query ~per_client ~index j))
+        ~per_client ~index:i w)
 
 let pp_outcome ppf o =
   Fmt.pf ppf "clients          : %d × %d requests@." o.clients o.per_client;

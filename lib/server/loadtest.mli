@@ -175,6 +175,25 @@ val run_mview :
     same statements, so incremental maintenance under concurrent load
     is checked against full local recomputation. *)
 
+(** {1 Distinct-literal workload} *)
+
+val run_param :
+  ?host:string ->
+  ?physical:Session.Eval.Physical.t ->
+  port:int ->
+  clients:int ->
+  per_client:int ->
+  unit ->
+  outcome
+(** Distinct-literal fan-out over a server loaded with
+    {!setup_statements}: each request instantiates one of four
+    templates (Figure-8 actor and film lookups, a chain-join bound, a
+    reachability source) with a literal no other request of the run
+    uses, and every ok reply is verified byte-for-byte against a
+    per-client oracle session (a local replay of the setup evaluating
+    the same text).  Only a template-keyed plan cache can reach a high
+    hit rate here. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val percentile : float array -> float -> float

@@ -20,6 +20,18 @@ let m_swept =
   Metrics.counter ~help:"Stale-generation plans removed eagerly"
     "eds_plan_cache_swept_total"
 
+let m_template_hits =
+  Metrics.counter ~help:"Plan-cache hits served by binding a template's generic plan"
+    "eds_plan_cache_template_hits_total"
+
+let m_templates kind =
+  Metrics.counter ~help:"Query templates planned, by whether their generic plan is shared"
+    ~labels:[ ("kind", kind) ]
+    "eds_plan_cache_templates"
+
+let m_templates_generic = m_templates "generic"
+let m_templates_custom = m_templates "custom"
+
 type 'a node = {
   key : string;
   mutable value : 'a;
@@ -81,19 +93,42 @@ let push_front t n =
   (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
   t.mru <- Some n
 
+let count_locked (t : _ t) outcome =
+  match outcome with
+  | `Hit | `Template_hit ->
+      t.hits <- t.hits + 1;
+      Metrics.Counter.incr m_hits;
+      if outcome = `Template_hit then Metrics.Counter.incr m_template_hits
+  | `Miss ->
+      t.misses <- t.misses + 1;
+      Metrics.Counter.incr m_misses
+
+let lookup_locked t key =
+  match Hashtbl.find_opt t.tbl key with
+  | Some n ->
+      unlink t n;
+      push_front t n;
+      Some n.value
+  | None -> None
+
 let find t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some n ->
-          t.hits <- t.hits + 1;
-          Metrics.Counter.incr m_hits;
-          unlink t n;
-          push_front t n;
-          Some n.value
-      | None ->
-          t.misses <- t.misses + 1;
-          Metrics.Counter.incr m_misses;
-          None)
+      let found = lookup_locked t key in
+      count_locked t (if Option.is_some found then `Hit else `Miss);
+      found)
+
+let lookup t key = locked t (fun () -> lookup_locked t key)
+let count t outcome = locked t (fun () -> count_locked t outcome)
+
+let note_template = function
+  | `Generic -> Metrics.Counter.incr m_templates_generic
+  | `Custom -> Metrics.Counter.incr m_templates_custom
+
+let template_hits () = Metrics.Counter.value m_template_hits
+
+let templates = function
+  | `Generic -> Metrics.Counter.value m_templates_generic
+  | `Custom -> Metrics.Counter.value m_templates_custom
 
 let add t key value =
   locked t (fun () ->

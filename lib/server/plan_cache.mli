@@ -1,13 +1,19 @@
-(** A bounded, thread-safe LRU cache from normalized statement text to
-    rewritten plans.
+(** A bounded, thread-safe LRU cache from string keys to planner
+    entries.
 
     The expensive phase of a query is parse → translate → rewrite; the
-    server keys the result on the statement's normalized text plus the
-    session's plan generation ({!Eds.Session.generation}), so a
-    repeated query skips straight to evaluation while any
-    config/rule/DDL change orphans the stale entries; the planner
-    removes those eagerly with {!sweep} so they never squeeze live
-    plans out of a full cache ({!clear} exists for session swaps).
+    planner ({!Planner}) keys its entries on the session's plan
+    generation ({!Eds.Session.generation}) plus either a statement's
+    normalized text or its literal-abstracted template
+    ({!Eds_esql.Template.key}), so a repeated query — or one differing
+    only in literals — skips rewriting, while any config/rule/DDL change
+    orphans the stale entries; the planner removes those eagerly with
+    {!sweep} so they never squeeze live plans out of a full cache
+    ({!clear} exists for session swaps).
+
+    Hit/miss accounting is one outcome per request: {!find} counts its
+    own lookup, while a multi-step lookup (exact text, then template)
+    uses {!lookup} and reports the outcome once with {!count}.
 
     All operations take an internal mutex; the cache is shared by every
     connection thread. *)
@@ -20,6 +26,30 @@ val create : capacity:int -> 'a t
 
 val find : 'a t -> string -> 'a option
 (** Lookup; counts a hit (and refreshes recency) or a miss. *)
+
+val lookup : 'a t -> string -> 'a option
+(** Lookup that refreshes recency on a hit but counts nothing. *)
+
+val count : 'a t -> [ `Hit | `Template_hit | `Miss ] -> unit
+(** Record one request's outcome.  A template hit counts as a hit and
+    also increments [eds_plan_cache_template_hits_total]. *)
+
+(** {1 Template counters}
+
+    Process-wide registry counters — the single source STATS, METRICS
+    and METRICS PROM render them from. *)
+
+val note_template : [ `Generic | `Custom ] -> unit
+(** A template was planned: its generic plan is shared ([`Generic]), or
+    it differed from the custom plan and the template only marks that
+    requests of this shape plan per text ([`Custom]).  Increments
+    [eds_plan_cache_templates{kind="generic"|"custom"}]. *)
+
+val template_hits : unit -> int
+(** [eds_plan_cache_template_hits_total]. *)
+
+val templates : [ `Generic | `Custom ] -> int
+(** [eds_plan_cache_templates{kind}]. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert (or overwrite) at most-recently-used position, evicting the

@@ -1,4 +1,6 @@
 module Session = Eds.Session
+module Lera = Session.Lera
+module Template = Eds_esql.Template
 module Database = Eds_engine.Database
 module Eval = Eds_engine.Eval
 module Metrics = Eds_obs.Metrics
@@ -21,9 +23,21 @@ type report = {
   work : Eval.stats;
 }
 
+(* What a cache key maps to.  Exact-text keys hold [Exact]; template
+   keys hold one of the other three. *)
+type entry =
+  | Exact of Lera.rel  (* the plan of one statement text *)
+  | Generic of Lera.rel  (* a template's plan; parameters bound per request *)
+  | Custom_only
+      (* the template's generic plan differed from a custom plan: its
+         requests plan per text *)
+  | Pinned of int list
+      (* these slots' translation depends on their value (enumeration
+         coercion): the template is keyed again with them as literals *)
+
 type t = {
   session : Session.t;
-  cache : Session.Lera.rel Plan_cache.t;
+  cache : entry Plan_cache.t;
   record_lock : Mutex.t;
       (* serializes the fold of per-query stats into the session's
          cumulative counters *)
@@ -71,7 +85,17 @@ let is_select line =
 
 let gen_prefix gen = Printf.sprintf "g%d|" gen
 
-let key t text = gen_prefix (Session.generation t.session) ^ normalize text
+let exact_key gen text = gen_prefix gen ^ normalize text
+
+(* no statement text starts with "template|", so the key spaces are
+   disjoint *)
+let template_key gen tmpl = gen_prefix gen ^ "template|" ^ Template.key tmpl
+
+(* the entry governing a template, through a [Pinned] indirection *)
+let resolve get gen tmpl =
+  match get (template_key gen tmpl) with
+  | Some (Pinned slots) -> get (template_key gen (Template.pin slots tmpl))
+  | entry -> entry
 
 (* A generation bump orphans every entry keyed under the old one; sweep
    them out eagerly so a full cache spends its capacity on live plans
@@ -89,27 +113,107 @@ let sweep_stale t gen =
         t.swept_gen <- gen
       end)
 
+(* Store what planning the template taught: [Generic] only when binding
+   this request's literals into the generic plan reproduces the custom
+   plan exactly, so the first binding evaluates as it always did; every
+   later binding is sound because no rule read a parameter.  Returns
+   whether the generic plan is shared. *)
+let store_template t gen tmpl values (generic : Session.plan option) custom =
+  let add key entry = Plan_cache.add t.cache key entry in
+  let mark key shared =
+    add key (match shared with Some rel -> Generic rel | None -> Custom_only);
+    Plan_cache.note_template (if Option.is_some shared then `Generic else `Custom)
+  in
+  match generic with
+  | None ->
+      mark (template_key gen tmpl) None;
+      false
+  | Some p ->
+      (* a slot translated to a literal, not a parameter, was pinned *)
+      let present = Lera.params p.Session.translated in
+      let pinned =
+        List.filter
+          (fun i -> not (List.mem i present))
+          (List.init (Array.length values) succ)
+      in
+      let key =
+        if pinned = [] then template_key gen tmpl
+        else begin
+          add (template_key gen tmpl) (Pinned pinned);
+          template_key gen (Template.pin pinned tmpl)
+        end
+      in
+      let rel = p.Session.rewritten in
+      let shared = Lera.equal (Lera.bind values rel) custom in
+      mark key (if shared then Some rel else None);
+      shared
+
+(* A text is remembered under its exact key whenever it plans per text
+   and when its template serves it again, so repeated texts keep taking
+   the exact path.  The request that first plans a shared template is
+   not: its template entry serves it. *)
+let remember t exact rel =
+  Plan_cache.add t.cache exact (Exact rel);
+  rel
+
+(* The miss section, run inside [exclusive]: the write lock keeps the
+   generation and catalog still, and double-checks catch a racing thread
+   that planned this text or template while we waited. *)
+let plan_miss t ~text ~sel ~parse_s ~tmpl ~values phases =
+  let gen = Session.generation t.session in
+  let exact = exact_key gen text in
+  let custom () =
+    let p = Session.plan_ast ~parse_s t.session sel in
+    phases := (parse_s, p.Session.translate_s, p.Session.rewrite_s);
+    p.Session.rewritten
+  in
+  match Plan_cache.peek t.cache exact with
+  | Some (Exact rel) -> rel
+  | _ -> (
+      match resolve (Plan_cache.peek t.cache) gen tmpl with
+      | Some (Generic rel) -> remember t exact (Lera.bind values rel)
+      | Some Custom_only -> remember t exact (custom ())
+      | _ when Array.length values = 0 ->
+          (* literal-free: the exact key is all a template would add *)
+          remember t exact (custom ())
+      | _ ->
+          (* the generic plan first, so the session's last rewrite stats
+             are the custom plan's; a template can fail to translate
+             where its literal query does not (GROUP BY matching) *)
+          let generic =
+            try Some (Session.plan_ast t.session tmpl)
+            with Session.Session_error _ -> None
+          in
+          let rel = custom () in
+          if store_template t gen tmpl values generic rel then rel
+          else remember t exact rel)
+
 let plan_timed ?(exclusive = fun f -> f ()) t text =
   let gen = Session.generation t.session in
   if gen <> t.swept_gen then sweep_stale t gen;
-  let key = key t text in
-  match Plan_cache.find t.cache key with
-  | Some rel -> (rel, `Hit, (0., 0., 0.))
-  | None ->
-      let phases = ref (0., 0., 0.) in
-      let rel =
-        exclusive (fun () ->
-            (* double-check: a racing thread may have planned this text
-               while we waited for the exclusive section *)
-            match Plan_cache.peek t.cache key with
-            | Some rel -> rel
-            | None ->
-                let p = Session.explain t.session text in
-                phases := (p.Session.parse_s, p.Session.translate_s, p.Session.rewrite_s);
-                Plan_cache.add t.cache key p.Session.rewritten;
-                p.Session.rewritten)
+  match Plan_cache.lookup t.cache (exact_key gen text) with
+  | Some (Exact rel) ->
+      Plan_cache.count t.cache `Hit;
+      (rel, `Hit, (0., 0., 0.))
+  | _ -> (
+      let sel, parse_s =
+        try Session.parse_select text
+        with e ->
+          Plan_cache.count t.cache `Miss;
+          raise e
       in
-      (rel, `Miss, !phases)
+      let tmpl, values = Template.erase sel in
+      match resolve (Plan_cache.lookup t.cache) gen tmpl with
+      | Some (Generic rel) ->
+          Plan_cache.count t.cache `Template_hit;
+          (remember t (exact_key gen text) (Lera.bind values rel), `Hit, (parse_s, 0., 0.))
+      | _ ->
+          Plan_cache.count t.cache `Miss;
+          let phases = ref (parse_s, 0., 0.) in
+          let rel =
+            exclusive (fun () -> plan_miss t ~text ~sel ~parse_s ~tmpl ~values phases)
+          in
+          (rel, `Miss, !phases))
 
 let plan ?exclusive t text =
   let rel, origin, _ = plan_timed ?exclusive t text in

@@ -347,6 +347,10 @@ let stats_text t =
         cache.Plan_cache.size cache.Plan_cache.capacity cache.Plan_cache.hits
         cache.Plan_cache.misses cache.Plan_cache.evictions cache.Plan_cache.swept
         (Plan_cache.hit_rate cache);
+      Fmt.pf ppf "plan templates   : %d template hits, %d generic, %d custom-only@."
+        (Plan_cache.template_hits ())
+        (Plan_cache.templates `Generic)
+        (Plan_cache.templates `Custom);
       Fmt.pf ppf "plan generation  : %d@." (Session.generation session);
       Fmt.pf ppf "data generation  : %d@." (Session.data_generation session);
       Fmt.pf ppf "rwlock           : %d read, %d write acquisitions@."
@@ -413,6 +417,11 @@ let metrics t =
        ("server.plan_cache.size", Obs.Json.Int cache.Plan_cache.size);
        ("server.plan_cache.capacity", Obs.Json.Int cache.Plan_cache.capacity);
        ("server.plan_cache.hit_rate", Obs.Json.Float (Plan_cache.hit_rate cache));
+       ("server.plan_cache.template_hits", Obs.Json.Int (Plan_cache.template_hits ()));
+       ( "server.plan_cache.templates_generic",
+         Obs.Json.Int (Plan_cache.templates `Generic) );
+       ( "server.plan_cache.templates_custom",
+         Obs.Json.Int (Plan_cache.templates `Custom) );
        ("session.statements_run", Obs.Json.Int (Session.statements_run session));
        ("session.generation", Obs.Json.Int (Session.generation session));
        ("session.data_generation", Obs.Json.Int (Session.data_generation session));

@@ -29,4 +29,5 @@ let () =
       ("metrics", Test_metrics.suite);
       ("analyze", Test_analyze.suite);
       ("server", Test_server.suite);
+      ("template", Test_template.suite);
     ]
