@@ -9,9 +9,22 @@
     wall-clock deadline (installed by {!with_timeout}) has passed.
 
     Deadlines are per-{e thread}: concurrent queries on different
-    connection threads each carry their own budget.  When no deadline is
-    active anywhere in the process, {!tick} is a single atomic load —
-    standalone (REPL / bench / test) evaluation pays nothing. *)
+    connection threads each carry their own budget.
+
+    Cost model.  {!tick} never locks.  With no deadline installed
+    anywhere in the process it is one atomic load, so standalone (REPL /
+    bench / test) evaluation pays nothing.  Otherwise it finds the
+    calling thread's entry in a short immutable list (one entry per
+    thread with a deadline) and decrements that entry's countdown; the
+    clock is read on the first tick after {!with_timeout} and then once
+    every 256 ticks.  So an expired deadline raises at most 256 ticks
+    late: tens of microseconds at the evaluator's per-combination cost.
+    Only {!with_timeout} (on entry and exit) and {!clear} take a lock.
+
+    Domain safety.  The list is published through an [Atomic.t] and is
+    never mutated in place; an entry's countdown is read and written
+    only by its owning thread.  Threads on different domains can tick
+    concurrently without sharing any mutable state. *)
 
 exception Timeout of float
 (** Carries the exceeded budget in seconds. *)
@@ -22,7 +35,9 @@ val with_timeout : float -> (unit -> 'a) -> 'a
     way out through a single finalizer that runs on {e every} exit path
     — normal return, {!Timeout}, or any other exception.  A non-positive
     [budget] times out on the first {!tick}.  Nesting on one thread
-    keeps the earliest deadline. *)
+    keeps the earliest deadline, and {!Timeout} carries the budget of
+    whichever deadline binds; leaving the inner frame restores the outer
+    deadline together with its tick countdown. *)
 
 val clear : unit -> unit
 (** Unconditionally drop the calling thread's deadline, if any.  A
@@ -32,10 +47,11 @@ val clear : unit -> unit
     statement die instantly with a stale {!Timeout}. *)
 
 val tick : unit -> unit
-(** Raise {!Timeout} if the calling thread's deadline has passed; no-op
-    (one atomic load) when no deadline is active process-wide.  Called
-    by the evaluator once per enumerated combination, per filtered
-    tuple and per fixpoint iteration. *)
+(** Raise {!Timeout} if the calling thread's deadline has passed, as
+    read on the first tick after install and every 256 ticks after; a
+    no-op (one atomic load) when no deadline is active process-wide.
+    Called by the evaluator once per enumerated combination, per
+    filtered tuple and per fixpoint iteration. *)
 
 val active : unit -> bool
 (** Whether any thread currently has a deadline installed. *)

@@ -232,6 +232,105 @@ let test_cancel_deadline_never_leaks () =
   Cancel.clear ();
   Cancel.tick ()
 
+(* tick [n] times, yielding now and then so other threads interleave *)
+let tick_n n =
+  for i = 1 to n do
+    Cancel.tick ();
+    if i mod 1_000 = 0 then Thread.yield ()
+  done
+
+let timeout_budget f = try f (); None with Cancel.Timeout b -> Some b
+
+let test_cancel_threads_isolated () =
+  (* both deadlines are installed before either thread ticks, and the
+     expired thread ticks only once the live one is under way: whichever
+     entry comes first in the list, each thread must find its own *)
+  let installed = Atomic.make 0 and batches = Atomic.make 0 in
+  let wait_for counter n =
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get counter < n && Unix.gettimeofday () -. t0 < 5.0 do
+      Thread.yield ()
+    done
+  in
+  let fired = Atomic.make false and spared = Atomic.make false in
+  let expired () =
+    try
+      Cancel.with_timeout 0. (fun () ->
+          Atomic.incr installed;
+          wait_for installed 2;
+          wait_for batches 1;
+          tick_n 100_000)
+    with Cancel.Timeout _ -> Atomic.set fired true
+  in
+  let live () =
+    Cancel.with_timeout 30. (fun () ->
+        Atomic.incr installed;
+        wait_for installed 2;
+        for _ = 1 to 100 do
+          tick_n 1_000;
+          Atomic.incr batches
+        done);
+    Atomic.set spared true
+  in
+  let threads = [ Thread.create expired (); Thread.create live () ] in
+  List.iter Thread.join threads;
+  Alcotest.(check bool) "expired thread raised" true (Atomic.get fired);
+  Alcotest.(check bool) "live thread ticked 100k times unharmed" true
+    (Atomic.get spared);
+  Alcotest.(check bool) "both deadlines uninstalled" false (Cancel.active ())
+
+let test_cancel_bounded_overshoot () =
+  Alcotest.(check (option (float 0.))) "zero budget fires on the first tick"
+    (Some 0.)
+    (timeout_budget (fun () -> Cancel.with_timeout 0. Cancel.tick));
+  (* the countdown is mid-stride when the deadline passes; the clock is
+     still read again within a bounded number of ticks *)
+  let late = ref 0 in
+  (try
+     Cancel.with_timeout 0.2 (fun () ->
+         tick_n 100;
+         Thread.delay 0.25;
+         while !late < 1_000_000 do
+           incr late;
+           Cancel.tick ()
+         done)
+   with Cancel.Timeout _ -> ());
+  Alcotest.(check bool)
+    (Fmt.str "Timeout within 10,000 ticks of expiry (took %d)" !late)
+    true
+    (!late >= 1 && !late <= 10_000)
+
+let test_cancel_nested_restores_outer () =
+  let outer_fired =
+    timeout_budget (fun () ->
+        Cancel.with_timeout 0.3 (fun () ->
+            Alcotest.(check (option (float 0.))) "inner deadline fires"
+              (Some 0.001)
+              (timeout_budget (fun () ->
+                   Cancel.with_timeout 0.001 (fun () ->
+                       Thread.delay 0.005;
+                       Cancel.tick ())));
+            (* the outer deadline is back, not yet due *)
+            Alcotest.(check bool) "outer deadline restored" true
+              (Cancel.active ());
+            Cancel.tick ();
+            Thread.delay 0.35;
+            tick_n 1_000_000))
+  in
+  Alcotest.(check (option (float 0.))) "outer deadline still fires" (Some 0.3)
+    outer_fired;
+  Alcotest.(check bool) "cleared after outermost exit" false (Cancel.active ())
+
+(* regression: the binding (outer) deadline used to report the inner
+   budget, e.g. "query timeout after 30s" for a 1 ms outer budget *)
+let test_cancel_nested_reports_binding_budget () =
+  Alcotest.(check (option (float 0.))) "outer budget reported" (Some 0.001)
+    (timeout_budget (fun () ->
+         Cancel.with_timeout 0.001 (fun () ->
+             Cancel.with_timeout 30. (fun () ->
+                 Thread.delay 0.005;
+                 Cancel.tick ()))))
+
 (* -- wire protocol ------------------------------------------------------- *)
 
 let with_server ?config ?wal session f =
@@ -485,11 +584,12 @@ let test_wire_explain_analyze () =
 
 (* -- timeouts ------------------------------------------------------------ *)
 
-(* a 60^4 cartesian product under the naive physical layer: far more
-   work than the budget allows, cancelled cooperatively mid-join *)
-let slow_session () =
+(* a 60^4 cartesian product (under the naive physical layer unless told
+   otherwise): far more work than the budget allows, cancelled
+   cooperatively mid-join *)
+let slow_session ?(physical = Eval.Physical.Naive) () =
   let s = Session.create () in
-  Session.set_physical s Eval.Physical.Naive;
+  Session.set_physical s physical;
   ignore
     (Session.exec_script s
        "TABLE A (X : INT) ; TABLE B (Y : INT) ; TABLE C (Z : INT) ; \
@@ -540,6 +640,34 @@ let test_backtoback_queries_after_timeout () =
               (contains ~affix:"(60 tuples)" payload)
           done);
       Alcotest.(check int) "exactly one timeout" 1 (Server.counters srv).Server.timeouts)
+
+(* the served Indexed layer enumerates an inequality-only join (no
+   equi-keys to hash on) as a cartesian product too: 12,960,000
+   combinations, seconds of work without the deadline *)
+let test_indexed_query_timeout () =
+  let config = { Server.default_config with query_timeout = Some 0.05 } in
+  with_server ~config (slow_session ~physical:Eval.Physical.Indexed ())
+    (fun srv ->
+      with_client srv (fun c ->
+          let t0 = Unix.gettimeofday () in
+          let st, payload =
+            Client.request c
+              "SELECT X FROM A, B, C, D WHERE X < Y AND Y < Z AND Z < W"
+          in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.check status "overrunning query errors" Protocol.Error st;
+          Alcotest.(check bool) "error names the timeout" true
+            (contains ~affix:"timeout" payload);
+          Alcotest.(check bool)
+            (Fmt.str "error frame within 2 s (took %.3f s)" elapsed)
+            true (elapsed < 2.0);
+          let st, payload = Client.request c "SELECT X FROM A" in
+          Alcotest.check status "quick query after timeout" Protocol.Ok st;
+          Alcotest.(check bool) "full scan answered" true
+            (contains ~affix:"(60 tuples)" payload);
+          let st, _ = Client.request c "PING" in
+          Alcotest.check status "connection still serving" Protocol.Ok st);
+      Alcotest.(check int) "timeout counted" 1 (Server.counters srv).Server.timeouts)
 
 (* -- admission control --------------------------------------------------- *)
 
@@ -775,4 +903,16 @@ let suite =
       test_loadtest_concurrent_bit_identical;
     Alcotest.test_case "mixed read/write load, oracle-verified" `Quick
       test_loadtest_mixed_verified;
+    (* later additions go last: a case's position is part of its
+       reported name *)
+    Alcotest.test_case "cancel: per-thread deadlines under concurrent ticks"
+      `Quick test_cancel_threads_isolated;
+    Alcotest.test_case "cancel: bounded ticks past expiry" `Quick
+      test_cancel_bounded_overshoot;
+    Alcotest.test_case "cancel: nested exit restores the outer deadline" `Quick
+      test_cancel_nested_restores_outer;
+    Alcotest.test_case "cancel: nested timeout reports the binding budget"
+      `Quick test_cancel_nested_reports_binding_budget;
+    Alcotest.test_case "timeout on the served Indexed layer" `Quick
+      test_indexed_query_timeout;
   ]
