@@ -965,17 +965,23 @@ let e5 () =
         ~finally:(fun () -> Server.stop srv)
         (fun () ->
           let per_client = total / clients in
+          (* registry counters are process-wide: this run's are deltas *)
+          let locks () =
+            ( int_of_float (Server.metric srv "server.rwlock.read_acquired"),
+              int_of_float (Server.metric srv "server.rwlock.write_acquired") )
+          in
+          let r0, w0 = locks () in
           let o =
             Loadtest.run_mixed ~expected ~port:(Server.port srv) ~clients
               ~per_client ()
           in
-          let c = Server.counters srv in
+          let r1, w1 = locks () in
+          let reads = r1 - r0 in
           row
             "  %2d clients × %3d: %4d ok (%3d writes), %5.0f q/s, p95 %5.2f ms, \
              locks %d read / %d write@."
             clients per_client o.Loadtest.ok o.Loadtest.writes o.Loadtest.qps
-            o.Loadtest.p95_ms c.Server.locks.Eds_server.Rwlock.read_acquired
-            c.Server.locks.Eds_server.Rwlock.write_acquired;
+            o.Loadtest.p95_ms reads (w1 - w0);
           let key fmt = Fmt.str ("e5.c%d." ^^ fmt) clients in
           metric_int (key "ok") o.Loadtest.ok;
           metric_int (key "writes") o.Loadtest.writes;
@@ -984,8 +990,7 @@ let e5 () =
           metric_int (key "busy_refusals") o.Loadtest.busy;
           metric_int (key "error_responses") o.Loadtest.errors;
           metric_bool (key "bit_identical") o.Loadtest.bit_identical;
-          metric_int (key "read_lock_acquisitions")
-            c.Server.locks.Eds_server.Rwlock.read_acquired;
+          metric_int (key "read_lock_acquisitions") reads;
           metric_float (key "qps") o.Loadtest.qps;
           metric_float (key "p95_ms") o.Loadtest.p95_ms))
     [ 1; 4; 16 ]
@@ -1303,9 +1308,17 @@ let e8 () =
              (node c (i + 1)))
       done
     done;
-    let es = Session.eval_stats s in
-    let c0 = es.Eval.combinations and p0 = es.Eval.probes in
-    let b0 = es.Eval.builds in
+    (* the registry's evaluator totals: this loop is the process's only
+       evaluation while it runs *)
+    let total family =
+      int_of_float (Eds_obs.Metrics.sum (Eds_obs.Metrics.samples ()) family)
+    in
+    let work () =
+      ( total "eds_eval_combinations_total",
+        total "eds_eval_probes_total",
+        total "eds_eval_builds_total" )
+    in
+    let c0, p0, b0 = work () in
     let heads = Array.make chains 0 in
     let last = ref (Relation.empty []) in
     let t0 = Unix.gettimeofday () in
@@ -1329,12 +1342,8 @@ let e8 () =
       last := Session.query s probe
     done;
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    ( ms,
-      !last,
-      ( es.Eval.combinations - c0,
-        es.Eval.probes - p0,
-        es.Eval.builds - b0 ),
-      Session.mv_stats s )
+    let c1, p1, b1 = work () in
+    (ms, !last, (c1 - c0, p1 - p0, b1 - b0), Session.mv_stats s)
   in
   let avg ~materialized =
     ignore (run ~materialized ());

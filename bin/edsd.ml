@@ -155,10 +155,10 @@ let main host port db no_fsync max_connections backlog timeout_ms cache
     Wal.Manager.close handle;
     Fmt.pr "edsd: checkpointed %s@." (Wal.Manager.db_path handle)
   | None -> ());
-  let c = Server.counters server in
+  let n key = int_of_float (Server.metric server key) in
   Fmt.pr "edsd: served %d connections (%d refused), %d ok / %d errors / %d timeouts@."
-    c.Server.accepted c.Server.refused c.Server.queries_ok c.Server.query_errors
-    c.Server.timeouts
+    (n "server.connections.accepted") (n "server.connections.refused")
+    (n "server.queries.ok") (n "server.queries.errors") (n "server.queries.timeouts")
 
 let cmd =
   let doc = "EDS query server: shared sessions, plan cache, admission control" in

@@ -115,33 +115,89 @@ let all_rules session =
 let print_profile ppf session p =
   Fmt.pf ppf "%a@." (Obs.Profile.pp ~all_rules:(all_rules session)) p
 
-let print_session_stats ppf session =
-  let es = Session.eval_stats session in
-  Fmt.pf ppf "statements run   : %d@." (Session.statements_run session);
+(* -- the stats table ------------------------------------------------------ *)
+
+(* Point-in-time state of one session as gauge samples: the server's
+   registry collector exposes them, and [.stats] reads them beside the
+   registry's cells. *)
+let session_samples session =
+  let m = Session.mv_stats session in
+  let fix_entries, _ = Session.fix_cache_stats session in
+  let g = Eds_obs.Metrics.gauge_sample in
+  [
+    g ~help:"Materialized views with stored extents" "eds_mview_extents"
+      (float_of_int
+         (List.length (Session.Materializer.views (Session.mviews session))));
+    g ~help:"Seconds since the last full (re)compute of any extent (-1 = never)"
+      "eds_mview_last_refresh_age_seconds"
+      (if m.Session.Materializer.last_refresh > 0. then
+         Unix.gettimeofday () -. m.Session.Materializer.last_refresh
+       else -1.);
+    g ~help:"Shared closed-fixpoint memo entries" "eds_fix_cache_entries"
+      (float_of_int fix_entries);
+    g ~help:"Plan-affecting generation (integrity marker)" "eds_session_generation"
+      (float_of_int (Session.generation session));
+    g ~help:"Data epoch (integrity marker)" "eds_session_data_generation"
+      (float_of_int (Session.data_generation session));
+  ]
+
+let session_table =
+  [
+    ("session.statements_run", "eds_session_statements_total", []);
+    ("session.generation", "eds_session_generation", []);
+    ("session.data_generation", "eds_session_data_generation", []);
+    ("session.eval.combinations", "eds_eval_combinations_total", []);
+    ("session.eval.tuples_read", "eds_eval_tuples_read_total", []);
+    ("session.eval.tuples_produced", "eds_eval_tuples_produced_total", []);
+    ("session.eval.probes", "eds_eval_probes_total", []);
+    ("session.eval.builds", "eds_eval_builds_total", []);
+    ("session.eval.fix_iterations", "eds_eval_fix_iterations_total", []);
+    ("session.eval.fix_cache_hits", "eds_eval_fix_cache_hits_total", []);
+    ("session.eval.fix_cache_misses", "eds_eval_fix_cache_misses_total", []);
+    ("session.mviews.extents", "eds_mview_extents", []);
+    ("session.mviews.maintenance_runs", "eds_view_maintenance_runs_total", []);
+    ("session.mviews.fallback_recomputes", "eds_view_maintenance_fallback_total", []);
+    ("session.mviews.refreshes", "eds_view_refresh_total", []);
+    ("session.mviews.delta_tuples", "eds_view_maintenance_delta_tuples_total", []);
+    ("session.mviews.last_refresh_age_s", "eds_mview_last_refresh_age_seconds", []);
+    ("session.fix_cache.entries", "eds_fix_cache_entries", []);
+  ]
+
+let table_value table samples key =
+  let _, family, labels = List.find (fun (k, _, _) -> k = key) table in
+  Eds_obs.Metrics.sum ~labels samples family
+
+let print_session_stats ?value ppf session =
+  let value =
+    match value with
+    | Some v -> v
+    | None ->
+      table_value session_table
+        (Eds_obs.Metrics.registry_samples () @ session_samples session)
+  in
+  let n key = int_of_float (value key) in
+  Fmt.pf ppf "statements run   : %d@." (n "session.statements_run");
   Fmt.pf ppf "physical layer   : %s@."
     (Eval.Physical.to_string (Session.physical session));
-  Fmt.pf ppf "eval combinations: %d@." es.Eval.combinations;
-  Fmt.pf ppf "tuples read      : %d@." es.Eval.tuples_read;
-  Fmt.pf ppf "tuples produced  : %d@." es.Eval.tuples_produced;
-  Fmt.pf ppf "fixpoint iters   : %d@." es.Eval.fix_iterations;
-  Fmt.pf ppf "index probes     : %d@." es.Eval.probes;
-  Fmt.pf ppf "index builds     : %d@." es.Eval.builds;
-  Fmt.pf ppf "fix-cache hit/miss: %d/%d@." es.Eval.fix_cache_hits
-    es.Eval.fix_cache_misses;
-  let entries, invalidations = Session.fix_cache_stats session in
-  Fmt.pf ppf "fix-cache shared : %d entries, %d invalidated by DML@." entries
-    invalidations;
-  let mvs = Session.mv_stats session in
-  let extents = List.length (Session.Materializer.views (Session.mviews session)) in
+  Fmt.pf ppf "eval combinations: %d@." (n "session.eval.combinations");
+  Fmt.pf ppf "tuples read      : %d@." (n "session.eval.tuples_read");
+  Fmt.pf ppf "tuples produced  : %d@." (n "session.eval.tuples_produced");
+  Fmt.pf ppf "fixpoint iters   : %d@." (n "session.eval.fix_iterations");
+  Fmt.pf ppf "index probes     : %d@." (n "session.eval.probes");
+  Fmt.pf ppf "index builds     : %d@." (n "session.eval.builds");
+  Fmt.pf ppf "fix-cache hit/miss: %d/%d@." (n "session.eval.fix_cache_hits")
+    (n "session.eval.fix_cache_misses");
+  let _, invalidations = Session.fix_cache_stats session in
+  Fmt.pf ppf "fix-cache shared : %d entries, %d invalidated by DML@."
+    (n "session.fix_cache.entries") invalidations;
   Fmt.pf ppf
     "mat. views       : %d extents, %d maintenance runs, %d fallback \
      recomputes, %d refreshes, %d delta tuples@."
-    extents mvs.Session.Materializer.maintenance_runs
-    mvs.Session.Materializer.fallback_recomputes
-    mvs.Session.Materializer.refreshes mvs.Session.Materializer.delta_tuples;
-  if mvs.Session.Materializer.last_refresh > 0. then
-    Fmt.pf ppf "mv last refresh  : %.1fs ago@."
-      (Unix.gettimeofday () -. mvs.Session.Materializer.last_refresh);
+    (n "session.mviews.extents") (n "session.mviews.maintenance_runs")
+    (n "session.mviews.fallback_recomputes") (n "session.mviews.refreshes")
+    (n "session.mviews.delta_tuples");
+  let age = value "session.mviews.last_refresh_age_s" in
+  if age >= 0. then Fmt.pf ppf "mv last refresh  : %.1fs ago@." age;
   (match Obs.Profile.current () with
   | None -> ()
   | Some p ->
@@ -239,7 +295,6 @@ let handle_directive ppf session line =
     (match arg with
     | "reset" ->
       Session.reset_stats session;
-      Eds_obs.Metrics.reset_values ();
       Fmt.pf ppf "stats reset (generations and integrity counters preserved)@."
     | _ -> print_session_stats ppf session);
     `Continue

@@ -13,10 +13,39 @@ val print_result : Format.formatter -> Session.result -> unit
 
 val print_plan : Format.formatter -> Session.t -> Session.plan -> unit
 
-val print_session_stats : Format.formatter -> Session.t -> unit
+(** {1 The stats table}
+
+    [.stats], and the server's STATS and METRICS, render from rows
+    [(METRICS key, registry family, labels)]: a row's value is
+    {!Eds_obs.Metrics.sum} of the family's samples carrying those
+    labels.  Counters are process-wide — one [edsd] or [edsql] process
+    serves one session, so for it they are that session's totals; they
+    also count evaluation done outside a session (e.g. the differential
+    runs of [VERIFY RULES]). *)
+
+val session_samples : Session.t -> Eds_obs.Metrics.sample list
+(** The session's point-in-time state as gauge samples: stored extents,
+    seconds since the last full extent (re)compute, shared fix-memo
+    entries and the two generations. *)
+
+val session_table : (string * string * (string * string) list) list
+(** The [session.*] rows. *)
+
+val table_value :
+  (string * string * (string * string) list) list ->
+  Eds_obs.Metrics.sample list ->
+  string ->
+  float
+(** [table_value table samples key]: the value of [key]'s row over
+    [samples].  Raises [Not_found] for a key outside [table]. *)
+
+val print_session_stats :
+  ?value:(string -> float) -> Format.formatter -> Session.t -> unit
 (** The [.stats] report: cumulative evaluator counters (including
-    hash-join and fix-cache work), the physical layer and domain count,
-    and the last rewrite statistics. *)
+    hash-join and fix-cache work), the physical layer, materialized-view
+    maintenance and the last rewrite statistics.  [value] reads a
+    [session.*] key (default: {!session_table} over the registry's cells
+    and {!session_samples}). *)
 
 val limits_config : int -> Session.Optimizer.config
 (** A config applying one limit to every rule block (negative =

@@ -53,9 +53,7 @@ type t = {
       (** cross-statement closed-fixpoint memo, validated per-relation
           against the copy-on-write database — DML invalidates only the
           fixpoints that read the written relation *)
-  eval_stats : Eval.stats;  (** cumulative over every executed statement *)
   mutable last_rewrite_stats : Engine.stats option;
-  mutable statements_run : int;
   mutable last_parse_s : float;
       (** parse time of the statement currently being executed, set by
           {!exec_string} so {!plan_select} can fold it into the plan *)
@@ -85,9 +83,7 @@ let create ?(config = Optimizer.default_config) () =
     extra_methods = [];
     mviews = Materializer.create ();
     fix_cache = Eval.Shared_fix_cache.create ();
-    eval_stats = Eval.fresh_stats ();
     last_rewrite_stats = None;
-    statements_run = 0;
     last_parse_s = 0.;
     generation = 0;
   }
@@ -224,7 +220,6 @@ let fix_cache_stats s =
 let apply_dml s ~table ~before ~after =
   let updates =
     Materializer.apply s.mviews ~physical:s.physical
-      ~stats:s.eval_stats
       ~recompute_cost:(fun rel -> (estimate s rel).Eds_lera.Cost.cost)
       s.db ~table ~before ~after
   in
@@ -285,7 +280,6 @@ let render_analyze s (p : plan) (report : Eval.node_report) rel ~exec_s
 
 let exec s (stmt : Ast.stmt) : result =
   wrap_errors @@ fun () ->
-  s.statements_run <- s.statements_run + 1;
   Metrics.Counter.incr m_statements;
   let parse_s = s.last_parse_s in
   s.last_parse_s <- 0.;
@@ -310,16 +304,14 @@ let exec s (stmt : Ast.stmt) : result =
     Materializer.register s.mviews ~name ~plan ~schema;
     ignore
       (Obs.span ~cat:"pipeline" "materialize" (fun () ->
-           Materializer.initialize s.mviews ~physical:s.physical
-             ~stats:s.eval_stats s.db name));
+           Materializer.initialize s.mviews ~physical:s.physical s.db name));
     sync s;
     invalidate_plans s;
     Done
   | Ast.Refresh name -> (
     match
       Obs.span ~cat:"pipeline" "materialize" (fun () ->
-          Materializer.refresh s.mviews ~physical:s.physical
-            ~stats:s.eval_stats s.db name)
+          Materializer.refresh s.mviews ~physical:s.physical s.db name)
     with
     | Some _ -> Done
     | None -> error "unknown materialized view %s" name)
@@ -404,8 +396,8 @@ let exec s (stmt : Ast.stmt) : result =
     let t0 = Obs.now () in
     let rel =
       Obs.span ~cat:"pipeline" "execute" (fun () ->
-          Eval.run ~physical:s.physical ~stats:s.eval_stats
-            ~fix_cache:s.fix_cache s.db plan.rewritten)
+          Eval.run ~physical:s.physical ~fix_cache:s.fix_cache s.db
+            plan.rewritten)
     in
     Metrics.Histogram.observe m_execute (Obs.now () -. t0);
     Rows rel
@@ -422,7 +414,6 @@ let exec s (stmt : Ast.stmt) : result =
       in
       let exec_s = Obs.now () -. t0 in
       Metrics.Histogram.observe m_execute exec_s;
-      Eval.add_stats s.eval_stats stats;
       Report (render_analyze s plan report rel ~exec_s ~stats)
     end
 
@@ -464,30 +455,14 @@ let explain s input =
   let sel, parse_s = parse_select input in
   plan_ast ~parse_s s sel
 
-let eval_stats s = s.eval_stats
 let last_rewrite_stats s = s.last_rewrite_stats
-let statements_run s = s.statements_run
+let count_statement () = Metrics.Counter.incr m_statements
 
-let record_external_execution s stats =
-  s.statements_run <- s.statements_run + 1;
-  Metrics.Counter.incr m_statements;
-  Eval.add_stats s.eval_stats stats
-
-(* STATS RESET / .stats reset: zero the cumulative work counters; the
-   generations (plan + data epochs) are integrity markers and survive *)
+(* STATS RESET / .stats reset: zero the registry's cumulative counters;
+   the generations (plan + data epochs) are integrity markers and survive *)
 let reset_stats s =
-  let es = s.eval_stats in
-  es.Eval.combinations <- 0;
-  es.Eval.tuples_read <- 0;
-  es.Eval.tuples_produced <- 0;
-  es.Eval.fix_iterations <- 0;
-  es.Eval.probes <- 0;
-  es.Eval.builds <- 0;
-  es.Eval.fix_cache_hits <- 0;
-  es.Eval.fix_cache_misses <- 0;
-  es.Eval.columnar_ops <- 0;
-  s.statements_run <- 0;
-  s.last_rewrite_stats <- None
+  s.last_rewrite_stats <- None;
+  Metrics.reset_values ()
 
 (* -- DBI extension surface ---------------------------------------------- *)
 

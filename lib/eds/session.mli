@@ -114,29 +114,28 @@ val plan_ast : ?parse_s:float -> t -> Ast.select -> plan
     {!Lera.Param} parameters, which must be {!Lera.bind}ed before
     evaluation. *)
 
-(** {1 Observability} *)
+(** {1 Observability}
 
-val eval_stats : t -> Eval.stats
-(** Evaluator work counters accumulated over every statement executed by
-    this session. *)
+    Cumulative work lives in the process-wide {!Eds_obs.Metrics}
+    registry: every statement through {!exec} (and wrappers) increments
+    [eds_session_statements_total], and every evaluation — a session's
+    or anyone else's — adds its {!Eval.stats} to the [eds_eval_*]
+    counters. *)
 
 val last_rewrite_stats : t -> Engine.stats option
 (** Rewrite statistics of the most recently planned SELECT, if any. *)
 
-val statements_run : t -> int
-(** Number of statements submitted through {!exec} (and wrappers). *)
+val count_statement : unit -> unit
+(** Count a statement executed outside {!exec} — e.g. a cached-plan
+    execution by the query server, which skips parse/translate/rewrite
+    entirely — in [eds_session_statements_total]. *)
 
 val reset_stats : t -> unit
-(** Zero {!eval_stats}, {!statements_run} and the last rewrite stats.
-    {!generation} and {!data_generation} are integrity markers and are
-    deliberately untouched (the [STATS RESET] wire command and the
-    [.stats reset] directive call this). *)
-
-val record_external_execution : t -> Eval.stats -> unit
-(** Fold the work of a statement executed outside {!exec} — e.g. a
-    cached-plan execution by the query server, which skips
-    parse/translate/rewrite entirely — into {!eval_stats} and
-    {!statements_run}. *)
+(** Forget the last rewrite stats and zero the registry's resettable
+    cells ({!Eds_obs.Metrics.reset_values}).  {!generation} and
+    {!data_generation} are integrity markers and are deliberately
+    untouched (the [STATS RESET] wire command and the [.stats reset]
+    directive call this). *)
 
 val snapshot_db : t -> Database.t
 (** An O(1) immutable snapshot of the database ({!Eds_engine.Database.snapshot}):

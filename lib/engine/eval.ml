@@ -76,6 +76,22 @@ let add_stats acc s =
   acc.fix_cache_misses <- acc.fix_cache_misses + s.fix_cache_misses;
   acc.columnar_ops <- acc.columnar_ops + s.columnar_ops
 
+let copy_stats s = { s with combinations = s.combinations }
+
+(* the work done since snapshot [s0] *)
+let diff_stats s s0 =
+  {
+    combinations = s.combinations - s0.combinations;
+    tuples_read = s.tuples_read - s0.tuples_read;
+    tuples_produced = s.tuples_produced - s0.tuples_produced;
+    fix_iterations = s.fix_iterations - s0.fix_iterations;
+    probes = s.probes - s0.probes;
+    builds = s.builds - s0.builds;
+    fix_cache_hits = s.fix_cache_hits - s0.fix_cache_hits;
+    fix_cache_misses = s.fix_cache_misses - s0.fix_cache_misses;
+    columnar_ops = s.columnar_ops - s0.columnar_ops;
+  }
+
 let pp_stats ppf s =
   Fmt.pf ppf
     "combinations=%d read=%d produced=%d fix_iters=%d probes=%d builds=%d \
@@ -302,22 +318,14 @@ type raw_node = {
   rw_label : string;
   rw_rows : int;
   rw_t : float;
-  rw_c : int;
-  rw_r : int;
-  rw_p : int;
-  rw_b : int;
-  rw_co : int;
+  rw_d : stats;  (** inclusive of the children *)
   rw_kids : raw_node list;
 }
 
 type frame = {
   fr_label : string;
   fr_t0 : float;
-  fr_c0 : int;
-  fr_r0 : int;
-  fr_p0 : int;
-  fr_b0 : int;
-  fr_co0 : int;
+  fr_s0 : stats;
   mutable fr_kids : raw_node list;  (** reversed *)
 }
 
@@ -476,18 +484,18 @@ let op_label : Lera.rel -> string = function
   | Lera.Nest _ -> "nest"
   | Lera.Unnest _ -> "unnest"
 
-(* batch this run's stats deltas into the always-on registry — recorded
-   on every exit path so timed-out work still shows up *)
-let record_deltas (s : stats) ~c0 ~r0 ~pr0 ~b0 ~f0 ~fh0 ~fm0 ~p0 ~co0 =
-  Metrics.Counter.add m_combos (s.combinations - c0);
-  Metrics.Counter.add m_read (s.tuples_read - r0);
-  Metrics.Counter.add m_produced (s.tuples_produced - p0);
-  Metrics.Counter.add m_probes (s.probes - pr0);
-  Metrics.Counter.add m_builds (s.builds - b0);
-  Metrics.Counter.add m_fix_iters (s.fix_iterations - f0);
-  Metrics.Counter.add m_fix_hits (s.fix_cache_hits - fh0);
-  Metrics.Counter.add m_fix_misses (s.fix_cache_misses - fm0);
-  Metrics.Counter.add m_columnar (s.columnar_ops - co0)
+(* batch one run's work into the always-on registry — recorded on every
+   exit path so timed-out work still shows up *)
+let record (d : stats) =
+  Metrics.Counter.add m_combos d.combinations;
+  Metrics.Counter.add m_read d.tuples_read;
+  Metrics.Counter.add m_produced d.tuples_produced;
+  Metrics.Counter.add m_probes d.probes;
+  Metrics.Counter.add m_builds d.builds;
+  Metrics.Counter.add m_fix_iters d.fix_iterations;
+  Metrics.Counter.add m_fix_hits d.fix_cache_hits;
+  Metrics.Counter.add m_fix_misses d.fix_cache_misses;
+  Metrics.Counter.add m_columnar d.columnar_ops
 
 let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
     ?(rvars = []) ?columnar ?fix_cache ?analyze db (r : Lera.rel) :
@@ -502,18 +510,9 @@ let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
     (match columnar with Some c -> c | None -> Column.enabled ())
     && physical <> Physical.Naive
   in
-  let c0 = stats.combinations
-  and r0 = stats.tuples_read
-  and pr0 = stats.probes
-  and b0 = stats.builds
-  and f0 = stats.fix_iterations
-  and fh0 = stats.fix_cache_hits
-  and fm0 = stats.fix_cache_misses
-  and p0 = stats.tuples_produced
-  and co0 = stats.columnar_ops in
+  let s0 = copy_stats stats in
   Fun.protect
-    ~finally:(fun () ->
-      record_deltas stats ~c0 ~r0 ~pr0 ~b0 ~f0 ~fh0 ~fm0 ~p0 ~co0)
+    ~finally:(fun () -> record (diff_stats stats s0))
     (fun () ->
       eval
         { db; mode; physical; stats; rvars; fix_cache = fix_memo; columnar;
@@ -531,16 +530,11 @@ and eval ctx (r : Lera.rel) : Relation.t =
   | None -> eval_traced ctx r
 
 and eval_analyzed ctx a (r : Lera.rel) : Relation.t =
-  let s = ctx.stats in
   let fr =
     {
       fr_label = op_label r;
       fr_t0 = Obs.now ();
-      fr_c0 = s.combinations;
-      fr_r0 = s.tuples_read;
-      fr_p0 = s.probes;
-      fr_b0 = s.builds;
-      fr_co0 = s.columnar_ops;
+      fr_s0 = copy_stats ctx.stats;
       fr_kids = [];
     }
   in
@@ -552,11 +546,7 @@ and eval_analyzed ctx a (r : Lera.rel) : Relation.t =
         rw_label = fr.fr_label;
         rw_rows = rows;
         rw_t = Obs.now () -. fr.fr_t0;
-        rw_c = s.combinations - fr.fr_c0;
-        rw_r = s.tuples_read - fr.fr_r0;
-        rw_p = s.probes - fr.fr_p0;
-        rw_b = s.builds - fr.fr_b0;
-        rw_co = s.columnar_ops - fr.fr_co0;
+        rw_d = diff_stats ctx.stats fr.fr_s0;
         rw_kids = List.rev fr.fr_kids;
       }
     in
@@ -576,21 +566,19 @@ and eval_traced ctx (r : Lera.rel) : Relation.t =
   if not (Obs.enabled ()) then eval_node ctx r
   else begin
     let name = "eval:" ^ op_label r in
-    let combos0 = ctx.stats.combinations in
-    let read0 = ctx.stats.tuples_read in
-    let probes0 = ctx.stats.probes in
-    let builds0 = ctx.stats.builds in
+    let s0 = copy_stats ctx.stats in
     Obs.span_begin ~cat:"eval" name;
     match eval_node ctx r with
     | rel ->
+      let d = diff_stats ctx.stats s0 in
       Obs.span_end ~cat:"eval"
         ~attrs:
           [
             ("rows_out", Obs.Json.Int (Relation.cardinality rel));
-            ("combinations", Obs.Json.Int (ctx.stats.combinations - combos0));
-            ("tuples_read", Obs.Json.Int (ctx.stats.tuples_read - read0));
-            ("probes", Obs.Json.Int (ctx.stats.probes - probes0));
-            ("builds", Obs.Json.Int (ctx.stats.builds - builds0));
+            ("combinations", Obs.Json.Int d.combinations);
+            ("tuples_read", Obs.Json.Int d.tuples_read);
+            ("probes", Obs.Json.Int d.probes);
+            ("builds", Obs.Json.Int d.builds);
           ]
         name;
       rel
@@ -980,22 +968,19 @@ let rec collapse (raws : raw_node list) : node_report list =
     [] raws
 
 and node_of_raw rw =
-  let kc, kr, kp, kb, kco =
-    List.fold_left
-      (fun (c, r, p, b, co) k ->
-        (c + k.rw_c, r + k.rw_r, p + k.rw_p, b + k.rw_b, co + k.rw_co))
-      (0, 0, 0, 0, 0) rw.rw_kids
-  in
+  let kids = fresh_stats () in
+  List.iter (fun k -> add_stats kids k.rw_d) rw.rw_kids;
+  let own = diff_stats rw.rw_d kids in
   {
     op = rw.rw_label;
     loops = 1;
     rows = rw.rw_rows;
     elapsed_s = rw.rw_t;
-    combinations = max 0 (rw.rw_c - kc);
-    tuples_read = max 0 (rw.rw_r - kr);
-    probes = max 0 (rw.rw_p - kp);
-    builds = max 0 (rw.rw_b - kb);
-    columnar = rw.rw_co - kco > 0;
+    combinations = max 0 own.combinations;
+    tuples_read = max 0 own.tuples_read;
+    probes = max 0 own.probes;
+    builds = max 0 own.builds;
+    columnar = own.columnar_ops > 0;
     children = collapse rw.rw_kids;
   }
 

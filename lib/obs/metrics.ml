@@ -214,6 +214,9 @@ type sample = {
   value : value;
 }
 
+let gauge_sample ~help name v =
+  { name; help; kind = K_gauge; labels = []; value = Gauge_v v }
+
 type collector_id = int
 
 let next_collector = ref 0
@@ -259,6 +262,19 @@ let samples () =
 
 let find_sample ?(labels = []) name =
   List.find_opt (fun s -> s.name = name && s.labels = labels) (samples ())
+
+let sum ?(labels = []) samples name =
+  List.fold_left
+    (fun acc s ->
+      if s.name = name && List.for_all (fun l -> List.mem l s.labels) labels then
+        acc
+        +.
+        match s.value with
+        | Counter_v n -> float_of_int n
+        | Gauge_v f -> f
+        | Histogram_v h -> float_of_int (Histogram.count h)
+      else acc)
+    0. samples
 
 (* shortest float representation that still round-trips: bucket bounds
    are exact powers of two and must parse back to the same float *)
@@ -375,61 +391,3 @@ let reset_values () =
         | G _ -> ()
         | H h -> Histogram.reset h)
     cells
-
-(* -- summaries (the store behind Obs.counter / Obs.histogram) ------------ *)
-
-module Summary = struct
-  type snap = { count : int; sum : float; min_v : float; max_v : float }
-
-  type acc = {
-    mutable a_count : int;
-    mutable a_sum : float;
-    mutable a_min : float;
-    mutable a_max : float;
-  }
-
-  let lock = Mutex.create ()
-  let table : (string, acc) Hashtbl.t = Hashtbl.create 32
-
-  let observe name v =
-    if Atomic.get enabled_flag then begin
-      Mutex.lock lock;
-      (match Hashtbl.find_opt table name with
-      | Some a ->
-        a.a_count <- a.a_count + 1;
-        a.a_sum <- a.a_sum +. v;
-        if v < a.a_min then a.a_min <- v;
-        if v > a.a_max then a.a_max <- v
-      | None ->
-        Hashtbl.add table name
-          { a_count = 1; a_sum = v; a_min = v; a_max = v });
-      Mutex.unlock lock
-    end
-
-  let snapshot () =
-    Mutex.lock lock;
-    let out =
-      Hashtbl.fold
-        (fun name a acc ->
-          (name, { count = a.a_count; sum = a.a_sum; min_v = a.a_min; max_v = a.a_max })
-          :: acc)
-        table []
-    in
-    Mutex.unlock lock;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) out
-
-  let reset () =
-    Mutex.lock lock;
-    Hashtbl.reset table;
-    Mutex.unlock lock
-end
-
-let reset_values () =
-  reset_values ();
-  Summary.reset ()
-
-let clear () =
-  locked (fun () ->
-      families := [];
-      collectors := []);
-  Summary.reset ()

@@ -131,8 +131,11 @@ type sample = {
   value : value;
 }
 
+val registry_samples : unit -> sample list
+(** The registry cells alone, in registration order. *)
+
 val samples : unit -> sample list
-(** Registry cells (registration order) followed by collector output. *)
+(** {!registry_samples} followed by collector output. *)
 
 val render : sample list -> string
 (** Prometheus text exposition of an arbitrary sample list: one
@@ -144,6 +147,12 @@ val prometheus : unit -> string
 
 val find_sample : ?labels:(string * string) list -> string -> sample option
 
+val sum : ?labels:(string * string) list -> sample list -> string -> float
+(** [sum ~labels samples name]: the values of family [name] summed over
+    every sample whose labels include all of [labels] (a histogram
+    counts its observations); [0.] when none matches.  The one lookup
+    STATS and METRICS render through. *)
+
 (** {1 Collectors}
 
     Instance-scoped sources (a server's plan cache, its WAL manager)
@@ -153,6 +162,9 @@ val find_sample : ?labels:(string * string) list -> string -> sample option
 
 type collector_id
 
+val gauge_sample : help:string -> string -> float -> sample
+(** An unlabelled gauge sample, as collectors return them. *)
+
 val register_collector : (unit -> sample list) -> collector_id
 val unregister_collector : collector_id -> unit
 
@@ -160,25 +172,5 @@ val unregister_collector : collector_id -> unit
 
 val reset_values : unit -> unit
 (** [STATS RESET]: zero every counter and histogram {e not} marked
-    [~permanent] (and every summary).  Gauges and permanent cells —
-    data-integrity markers — are untouched. *)
-
-val clear : unit -> unit
-(** Drop the whole registry, collectors included (tests only). *)
-
-(** {1 Summaries}
-
-    Count/sum/min/max aggregation keyed by name — the always-on store
-    behind {!Obs.counter}/{!Obs.histogram}.  Mutex-protected (these
-    sites are warm, not hot). *)
-
-module Summary : sig
-  type snap = { count : int; sum : float; min_v : float; max_v : float }
-
-  val observe : string -> float -> unit
-
-  val snapshot : unit -> (string * snap) list
-  (** Sorted by name. *)
-
-  val reset : unit -> unit
-end
+    [~permanent].  Gauges and permanent cells — data-integrity markers —
+    are untouched. *)

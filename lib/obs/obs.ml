@@ -1,4 +1,4 @@
-(* Structured tracing and metrics for the whole pipeline (parse →
+(* Structured tracing for the whole pipeline (parse →
    translate → rewrite → evaluate).  The design goal is zero cost when
    disabled: the disabled state is the absence of a sink, so every
    instrumentation site is one load and one branch away from doing
@@ -364,49 +364,14 @@ let complete ?(cat = "eds") ?(attrs = []) name ~ts ~dur =
   | None -> ()
   | Some s -> s.emit (Complete { name; cat; ts; dur; attrs })
 
-(* -- counters and histograms --------------------------------------------- *)
+(* -- counters ------------------------------------------------------------- *)
 
-(* The aggregation store lives in {!Metrics.Summary} and is always on:
-   historically these were gated on a trace sink being installed (a
-   tracing concern), which silently dropped measurements whenever
-   tracing was off.  [counter] still emits a Chrome counter event when a
-   sink is present, so values graph over time in Perfetto. *)
-
-let enable_metrics () = ()
-let disable_metrics () = ()
-(* retained for API compatibility: the store no longer needs arming *)
-
-let reset_metrics () = Metrics.Summary.reset ()
-let observe = Metrics.Summary.observe
-
+(* A Chrome counter event, so a value graphs over time in Perfetto;
+   always-on tallies live in {!Metrics}. *)
 let counter name v =
-  observe name v;
   match !sink_ref with
   | Some s -> s.emit (Counter { name; ts = now (); value = v })
   | None -> ()
-
-let histogram name v = observe name v
-
-let metrics () =
-  let entries =
-    List.map
-      (fun (name, s) ->
-        ( name,
-          Json.Obj
-            [
-              ("count", Json.Int s.Metrics.Summary.count);
-              ("sum", Json.Float s.Metrics.Summary.sum);
-              ("min", Json.Float (if s.Metrics.Summary.count = 0 then 0. else s.Metrics.Summary.min_v));
-              ("max", Json.Float (if s.Metrics.Summary.count = 0 then 0. else s.Metrics.Summary.max_v));
-              ( "mean",
-                Json.Float
-                  (if s.Metrics.Summary.count = 0 then 0.
-                   else s.Metrics.Summary.sum /. float_of_int s.Metrics.Summary.count) );
-            ] )
-      )
-      (Metrics.Summary.snapshot ())
-  in
-  Json.Obj entries
 
 (* -- sink implementations ------------------------------------------------ *)
 

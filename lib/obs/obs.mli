@@ -1,4 +1,4 @@
-(** Structured tracing, metrics and rule profiling for the EDS pipeline.
+(** Structured tracing and rule profiling for the EDS pipeline.
 
     The subsystem is {e zero-cost when disabled}: the default state has
     no sink installed, and every entry point ({!span}, {!instant},
@@ -110,25 +110,12 @@ val with_collector : (unit -> 'a) -> 'a * event list
     still reach the installed sink).  Records nothing — and allocates
     nothing — when tracing is disabled. *)
 
-(** {1 Counters and histograms}
-
-    In-memory aggregations (count/sum/min/max/mean), {e always on}:
-    they record into {!Metrics.Summary} whether or not a trace sink is
-    installed, so measurements are never silently dropped when tracing
-    is off.  {!counter} additionally emits a Chrome counter event when a
-    sink is on, so the value graphs over time in Perfetto. *)
+(** {1 Counters} *)
 
 val counter : string -> float -> unit
-val histogram : string -> float -> unit
-
-val enable_metrics : unit -> unit
-val disable_metrics : unit -> unit
-(** No-ops, retained for API compatibility: the aggregation store no
-    longer needs arming (see {!Metrics.set_enabled} for the global
-    registry switch). *)
-
-val reset_metrics : unit -> unit
-val metrics : unit -> Json.t
+(** Emit a Chrome counter event, so the value graphs over time in
+    Perfetto; no-op when disabled.  Always-on tallies live in the
+    {!Metrics} registry. *)
 
 (** {1 Clock} *)
 

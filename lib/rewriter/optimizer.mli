@@ -33,7 +33,9 @@ type config = {
 val default_config : config
 (** Saturation for the syntactic blocks, a finite limit (100) for the
     semantic block — whose growth rules would otherwise run long (§7) —
-    and two rounds, so that permutation and merging feed each other. *)
+    and up to five rounds with early stop, so that permutation and
+    merging feed each other until the query stops changing (or the cap
+    is reached). *)
 
 val zero_config : config
 (** All limits 0: the "simple queries (e.g., search on a key) do not

@@ -4,8 +4,8 @@
 
 module Metrics = Eds_obs.Metrics
 
-(* process-wide registry counters, aggregated across cache instances;
-   the per-instance [stats] record remains the precise view *)
+(* process-wide registry counters, aggregated across cache instances:
+   the only store of the cache's tallies *)
 let m_hits = Metrics.counter ~help:"Plan-cache lookups served from cache" "eds_plan_cache_hits_total"
 let m_misses = Metrics.counter ~help:"Plan-cache lookups that missed" "eds_plan_cache_misses_total"
 
@@ -44,23 +44,10 @@ type 'a t = {
   tbl : (string, 'a node) Hashtbl.t;
   mutable mru : 'a node option;
   mutable lru : 'a node option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable insertions : int;
-  mutable swept : int;
   lock : Mutex.t;
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  insertions : int;
-  swept : int;
-  size : int;
-  capacity : int;
-}
+type stats = { size : int; capacity : int }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
@@ -69,11 +56,6 @@ let create ~capacity =
     tbl = Hashtbl.create (min capacity 64);
     mru = None;
     lru = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    insertions = 0;
-    swept = 0;
     lock = Mutex.create ();
   }
 
@@ -93,15 +75,12 @@ let push_front t n =
   (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
   t.mru <- Some n
 
-let count_locked (t : _ t) outcome =
+let count outcome =
   match outcome with
   | `Hit | `Template_hit ->
-      t.hits <- t.hits + 1;
       Metrics.Counter.incr m_hits;
       if outcome = `Template_hit then Metrics.Counter.incr m_template_hits
-  | `Miss ->
-      t.misses <- t.misses + 1;
-      Metrics.Counter.incr m_misses
+  | `Miss -> Metrics.Counter.incr m_misses
 
 let lookup_locked t key =
   match Hashtbl.find_opt t.tbl key with
@@ -114,21 +93,14 @@ let lookup_locked t key =
 let find t key =
   locked t (fun () ->
       let found = lookup_locked t key in
-      count_locked t (if Option.is_some found then `Hit else `Miss);
+      count (if Option.is_some found then `Hit else `Miss);
       found)
 
 let lookup t key = locked t (fun () -> lookup_locked t key)
-let count t outcome = locked t (fun () -> count_locked t outcome)
 
 let note_template = function
   | `Generic -> Metrics.Counter.incr m_templates_generic
   | `Custom -> Metrics.Counter.incr m_templates_custom
-
-let template_hits () = Metrics.Counter.value m_template_hits
-
-let templates = function
-  | `Generic -> Metrics.Counter.value m_templates_generic
-  | `Custom -> Metrics.Counter.value m_templates_custom
 
 let add t key value =
   locked t (fun () ->
@@ -141,14 +113,12 @@ let add t key value =
           let n = { key; value; prev = None; next = None } in
           Hashtbl.replace t.tbl key n;
           push_front t n;
-          t.insertions <- t.insertions + 1;
           Metrics.Counter.incr m_insertions;
           if Hashtbl.length t.tbl > t.capacity then
             match t.lru with
             | Some tail ->
                 unlink t tail;
                 Hashtbl.remove t.tbl tail.key;
-                t.evictions <- t.evictions + 1;
                 Metrics.Counter.incr m_evictions
             | None -> ())
 
@@ -170,7 +140,6 @@ let sweep t stale =
         (fun n ->
           unlink t n;
           Hashtbl.remove t.tbl n.key;
-          t.swept <- t.swept + 1;
           Metrics.Counter.incr m_swept)
         doomed;
       List.length doomed)
@@ -181,26 +150,4 @@ let clear t =
       t.mru <- None;
       t.lru <- None)
 
-let stats t =
-  locked t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        insertions = t.insertions;
-        swept = t.swept;
-        size = Hashtbl.length t.tbl;
-        capacity = t.capacity;
-      })
-
-let reset_stats t =
-  locked t (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0;
-      t.insertions <- 0;
-      t.swept <- 0)
-
-let hit_rate s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0. else float_of_int s.hits /. float_of_int total
+let stats t = locked t (fun () -> { size = Hashtbl.length t.tbl; capacity = t.capacity })

@@ -13,7 +13,10 @@
 
     Hit/miss accounting is one outcome per request: {!find} counts its
     own lookup, while a multi-step lookup (exact text, then template)
-    uses {!lookup} and reports the outcome once with {!count}.
+    uses {!lookup} and reports the outcome once with {!count}.  Every
+    tally — hits, misses, insertions, evictions, sweeps, templates — is
+    a process-wide registry counter ([eds_plan_cache_*]), the single
+    store STATS, METRICS and METRICS PROM render from.
 
     All operations take an internal mutex; the cache is shared by every
     connection thread. *)
@@ -30,26 +33,18 @@ val find : 'a t -> string -> 'a option
 val lookup : 'a t -> string -> 'a option
 (** Lookup that refreshes recency on a hit but counts nothing. *)
 
-val count : 'a t -> [ `Hit | `Template_hit | `Miss ] -> unit
-(** Record one request's outcome.  A template hit counts as a hit and
+val count : [ `Hit | `Template_hit | `Miss ] -> unit
+(** Record one request's outcome in [eds_plan_cache_hits_total] or
+    [eds_plan_cache_misses_total].  A template hit counts as a hit and
     also increments [eds_plan_cache_template_hits_total]. *)
 
-(** {1 Template counters}
-
-    Process-wide registry counters — the single source STATS, METRICS
-    and METRICS PROM render them from. *)
+(** {1 Template counters} *)
 
 val note_template : [ `Generic | `Custom ] -> unit
 (** A template was planned: its generic plan is shared ([`Generic]), or
     it differed from the custom plan and the template only marks that
     requests of this shape plan per text ([`Custom]).  Increments
     [eds_plan_cache_templates{kind="generic"|"custom"}]. *)
-
-val template_hits : unit -> int
-(** [eds_plan_cache_template_hits_total]. *)
-
-val templates : [ `Generic | `Custom ] -> int
-(** [eds_plan_cache_templates{kind}]. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert (or overwrite) at most-recently-used position, evicting the
@@ -69,20 +64,7 @@ val sweep : 'a t -> (string -> bool) -> int
 val clear : 'a t -> unit
 (** Drop every entry (counters survive — they are cumulative). *)
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  insertions : int;
-  swept : int;  (** entries removed eagerly by {!sweep} *)
-  size : int;
-  capacity : int;
-}
+type stats = { size : int; capacity : int }
 
 val stats : 'a t -> stats
-
-val reset_stats : 'a t -> unit
-(** Zero the cumulative counters ([STATS RESET]); entries stay cached. *)
-
-val hit_rate : stats -> float
-(** [hits / (hits + misses)], or [0.] before any lookup. *)
+(** Occupancy: entries cached now, and the bound. *)

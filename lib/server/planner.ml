@@ -38,9 +38,6 @@ type entry =
 type t = {
   session : Session.t;
   cache : entry Plan_cache.t;
-  record_lock : Mutex.t;
-      (* serializes the fold of per-query stats into the session's
-         cumulative counters *)
   gen_lock : Mutex.t;
       (* serializes the stale-entry sweep on a generation bump *)
   mutable swept_gen : int;  (* generation the cache was last swept for *)
@@ -50,7 +47,6 @@ let create ?(capacity = 256) session =
   {
     session;
     cache = Plan_cache.create ~capacity;
-    record_lock = Mutex.create ();
     gen_lock = Mutex.create ();
     swept_gen = Session.generation session;
   }
@@ -193,22 +189,22 @@ let plan_timed ?(exclusive = fun f -> f ()) t text =
   if gen <> t.swept_gen then sweep_stale t gen;
   match Plan_cache.lookup t.cache (exact_key gen text) with
   | Some (Exact rel) ->
-      Plan_cache.count t.cache `Hit;
+      Plan_cache.count `Hit;
       (rel, `Hit, (0., 0., 0.))
   | _ -> (
       let sel, parse_s =
         try Session.parse_select text
         with e ->
-          Plan_cache.count t.cache `Miss;
+          Plan_cache.count `Miss;
           raise e
       in
       let tmpl, values = Template.erase sel in
       match resolve (Plan_cache.lookup t.cache) gen tmpl with
       | Some (Generic rel) ->
-          Plan_cache.count t.cache `Template_hit;
+          Plan_cache.count `Template_hit;
           (remember t (exact_key gen text) (Lera.bind values rel), `Hit, (parse_s, 0., 0.))
       | _ ->
-          Plan_cache.count t.cache `Miss;
+          Plan_cache.count `Miss;
           let phases = ref (parse_s, 0., 0.) in
           let rel =
             exclusive (fun () -> plan_miss t ~text ~sel ~parse_s ~tmpl ~values phases)
@@ -231,10 +227,7 @@ let execute_timed ?exclusive t text =
   let result = Session.run_plan ~stats ~db t.session rel in
   let exec_s = Unix.gettimeofday () -. t1 in
   Metrics.Histogram.observe m_execute exec_s;
-  Mutex.lock t.record_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.record_lock)
-    (fun () -> Session.record_external_execution t.session stats);
+  Session.count_statement ();
   (result, { origin; parse_s; translate_s; rewrite_s; plan_s; exec_s; work = stats })
 
 let execute ?exclusive t text =
@@ -243,4 +236,3 @@ let execute ?exclusive t text =
 
 let cache_stats t = Plan_cache.stats t.cache
 let clear_cache t = Plan_cache.clear t.cache
-let reset_cache_stats t = Plan_cache.reset_stats t.cache

@@ -73,9 +73,9 @@ val execute :
   string ->
   Session.Relation.t * [ `Hit | `Miss ]
 (** [plan] + evaluate against {!Session.snapshot_db} — no lock needed
-    during evaluation.  Runs with a private stats record, folded into
-    the session's cumulative counters afterwards under an internal
-    lock — safe for concurrent callers. *)
+    during evaluation.  Runs with a private stats record; the evaluator
+    adds it to the registry's atomic counters, so concurrent callers
+    lose no update. *)
 
 type report = {
   origin : [ `Hit | `Miss ];
@@ -97,6 +97,3 @@ val execute_timed :
 
 val cache_stats : t -> Plan_cache.stats
 val clear_cache : t -> unit
-
-val reset_cache_stats : t -> unit
-(** Zero the cache's cumulative counters; cached plans stay. *)

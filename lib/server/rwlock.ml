@@ -1,5 +1,3 @@
-type stats = { read_acquired : int; write_acquired : int }
-
 module Metrics = Eds_obs.Metrics
 
 let m_read =
@@ -19,8 +17,6 @@ type t = {
   mutable active_readers : int;
   mutable writer : bool;
   mutable waiting_writers : int;
-  mutable read_acquired : int;
-  mutable write_acquired : int;
 }
 
 let create () =
@@ -31,8 +27,6 @@ let create () =
     active_readers = 0;
     writer = false;
     waiting_writers = 0;
-    read_acquired = 0;
-    write_acquired = 0;
   }
 
 let read_lock t =
@@ -42,7 +36,6 @@ let read_lock t =
     Condition.wait t.can_read t.lock
   done;
   t.active_readers <- t.active_readers + 1;
-  t.read_acquired <- t.read_acquired + 1;
   Metrics.Counter.incr m_read;
   Mutex.unlock t.lock
 
@@ -60,7 +53,6 @@ let write_lock t =
   done;
   t.waiting_writers <- t.waiting_writers - 1;
   t.writer <- true;
-  t.write_acquired <- t.write_acquired + 1;
   Metrics.Counter.incr m_write;
   Mutex.unlock t.lock
 
@@ -86,15 +78,3 @@ let readers t =
   let n = t.active_readers in
   Mutex.unlock t.lock;
   n
-
-let stats t =
-  Mutex.lock t.lock;
-  let s = { read_acquired = t.read_acquired; write_acquired = t.write_acquired } in
-  Mutex.unlock t.lock;
-  s
-
-let reset_stats t =
-  Mutex.lock t.lock;
-  t.read_acquired <- 0;
-  t.write_acquired <- 0;
-  Mutex.unlock t.lock

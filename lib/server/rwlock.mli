@@ -1,10 +1,16 @@
 (** A writer-preferring readers-writer lock.
 
-    The query server executes SELECTs under the read side (many
-    connections concurrently, the session is only read) and every
-    mutating statement or directive under the write side (exclusive).
-    Writers are preferred: once a writer is waiting, new readers queue
-    behind it, so a stream of cheap reads cannot starve DDL. *)
+    The query server runs every mutating statement or directive, and
+    each plan-cache miss, under the write side (exclusive).  SELECTs
+    take no lock at all — they evaluate against an immutable database
+    snapshot — so the read side has no production caller.  Writers are
+    preferred: once a writer is waiting, new readers queue behind it, so
+    a stream of cheap reads cannot starve DDL.
+
+    Acquisitions are counted in the process-wide registry counter
+    [eds_rwlock_acquisitions_total{mode="read"|"write"}]; a zero read
+    count under a SELECT load is the observable proof that snapshot
+    reads are lock-free. *)
 
 type t
 
@@ -19,13 +25,3 @@ val with_write : t -> (unit -> 'a) -> 'a
 
 val readers : t -> int
 (** Instantaneous active-reader count (diagnostics only). *)
-
-type stats = { read_acquired : int; write_acquired : int }
-
-val stats : t -> stats
-(** Cumulative acquisition counts.  The query server's snapshot reads
-    are verified lock-free by asserting [read_acquired] stays zero
-    under a concurrent SELECT load. *)
-
-val reset_stats : t -> unit
-(** Zero the acquisition counters ([STATS RESET]). *)

@@ -77,17 +77,6 @@ let m_conn_active =
 
 let m_slow = Metrics.counter ~help:"Queries over the slow-query threshold" "eds_slow_queries_total"
 
-type counters = {
-  accepted : int;
-  refused : int;
-  active : int;
-  queries_ok : int;
-  query_errors : int;
-  timeouts : int;
-  cache : Plan_cache.stats;
-  locks : Rwlock.stats;
-}
-
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
@@ -97,12 +86,7 @@ type t = {
   wal : Wal.Manager.handle option;  (* durability; [None] = in-memory only *)
   mutable planner : Planner.t;  (* swapped wholesale by [.load] *)
   state : Mutex.t;  (* guards everything below *)
-  mutable accepted : int;
-  mutable refused : int;
-  mutable active : int;
-  mutable queries_ok : int;
-  mutable query_errors : int;
-  mutable timeouts : int;
+  mutable active : int;  (* admission control; METRICS reads the gauge *)
   mutable stopping : bool;
   conns : (int, Unix.file_descr) Hashtbl.t;
   mutable conn_threads : Thread.t list;
@@ -324,37 +308,104 @@ let run_directive t line =
           | None -> ());
           `Reply (Protocol.Ok, payload))
 
-(* STATS/METRICS take no lock either: every ingredient is a monotonic
-   counter or an O(1) snapshot read, and the loadgen verifier polls
+(* -- the stats table -------------------------------------------------- *)
+
+(* Instance-scoped point-in-time state — cache occupancy, generations,
+   WAL epoch/age — is exposed through a registry collector rather than
+   stored cells: it belongs to this server instance and is read fresh at
+   every scrape.  Registered at [start], unregistered at [stop] so a
+   later instance in the same process doesn't double-report. *)
+let collector_samples t () =
+  let cache = Planner.cache_stats t.planner in
+  let g = Metrics.gauge_sample in
+  Repl.session_samples (Planner.session t.planner)
+  @ [
+      g ~help:"Plans currently cached" "eds_plan_cache_entries"
+        (float_of_int cache.Plan_cache.size);
+      g ~help:"Plan-cache capacity" "eds_plan_cache_capacity"
+        (float_of_int cache.Plan_cache.capacity);
+    ]
+  @
+  match t.wal with
+  | None -> []
+  | Some wal ->
+      let ws = Wal.Manager.stats wal in
+      [
+        g ~help:"WAL checkpoint epoch (integrity marker)" "eds_wal_epoch"
+          (float_of_int ws.Wal.Manager.epoch);
+        g ~help:"Seconds since boot or last checkpoint" "eds_wal_checkpoint_age_seconds"
+          ws.Wal.Manager.checkpoint_age_s;
+      ]
+
+(* The one table STATS, METRICS and edsd's shutdown line render from:
+   each METRICS key names the registry family — and the labels selecting
+   its cells — that stores it.  Cumulative tallies are the registry's
+   own cells; point-in-time state comes from this instance's collector. *)
+let table =
+  [
+    ("server.connections.accepted", "eds_connections_accepted_total", []);
+    ("server.connections.refused", "eds_connections_refused_total", []);
+    ("server.connections.active", "eds_connections_active", []);
+    ("server.queries.ok", "eds_queries_total", [ ("outcome", "ok") ]);
+    ("server.queries.errors", "eds_queries_total", [ ("outcome", "error") ]);
+    ("server.queries.timeouts", "eds_queries_total", [ ("outcome", "timeout") ]);
+    ("server.rwlock.read_acquired", "eds_rwlock_acquisitions_total", [ ("mode", "read") ]);
+    ("server.rwlock.write_acquired", "eds_rwlock_acquisitions_total", [ ("mode", "write") ]);
+    ("server.plan_cache.hits", "eds_plan_cache_hits_total", []);
+    ("server.plan_cache.misses", "eds_plan_cache_misses_total", []);
+    ("server.plan_cache.evictions", "eds_plan_cache_evictions_total", []);
+    ("server.plan_cache.insertions", "eds_plan_cache_insertions_total", []);
+    ("server.plan_cache.swept", "eds_plan_cache_swept_total", []);
+    ("server.plan_cache.size", "eds_plan_cache_entries", []);
+    ("server.plan_cache.capacity", "eds_plan_cache_capacity", []);
+    ("server.plan_cache.template_hits", "eds_plan_cache_template_hits_total", []);
+    ("server.plan_cache.templates_generic", "eds_plan_cache_templates", [ ("kind", "generic") ]);
+    ("server.plan_cache.templates_custom", "eds_plan_cache_templates", [ ("kind", "custom") ]);
+  ]
+  @ Repl.session_table
+  @ [
+      ("wal.epoch", "eds_wal_epoch", []);
+      ("wal.checkpoint_age_s", "eds_wal_checkpoint_age_seconds", []);
+      ("wal.fsyncs", "eds_wal_fsyncs_total", []);
+      ("wal.commits", "eds_wal_commits_total", []);
+    ]
+
+(* one snapshot of the registry's cells and this instance's state *)
+let metric t =
+  Repl.table_value table (Metrics.registry_samples () @ collector_samples t ())
+
+let hit_rate v =
+  let hits = v "server.plan_cache.hits" and misses = v "server.plan_cache.misses" in
+  if hits +. misses = 0. then 0. else hits /. (hits +. misses)
+
+(* STATS/METRICS take no lock either: every ingredient is an atomic
+   registry cell or an O(1) snapshot read, and the loadgen verifier polls
    METRICS while checking that SELECTs acquire zero read locks. *)
 let stats_text t =
-  let planner = t.planner in
-  let session = Planner.session planner in
-  let cache = Planner.cache_stats planner in
-  let rw = Rwlock.stats t.rw in
-  let accepted, refused, active, ok, errors, timeouts =
-    locked t (fun () ->
-        (t.accepted, t.refused, t.active, t.queries_ok, t.query_errors, t.timeouts))
-  in
+  let v = metric t in
+  let n key = int_of_float (v key) in
+  let session = Planner.session t.planner in
   render (fun ppf ->
-      Fmt.pf ppf "connections      : %d active, %d accepted, %d refused@." active
-        accepted refused;
-      Fmt.pf ppf "requests         : %d ok, %d errors, %d timeouts@." ok errors
-        timeouts;
+      Fmt.pf ppf "connections      : %d active, %d accepted, %d refused@."
+        (n "server.connections.active") (n "server.connections.accepted")
+        (n "server.connections.refused");
+      Fmt.pf ppf "requests         : %d ok, %d errors, %d timeouts@."
+        (n "server.queries.ok") (n "server.queries.errors")
+        (n "server.queries.timeouts");
       Fmt.pf ppf
         "plan cache       : %d/%d entries, %d hits, %d misses, %d evictions, %d \
          swept (hit rate %.2f)@."
-        cache.Plan_cache.size cache.Plan_cache.capacity cache.Plan_cache.hits
-        cache.Plan_cache.misses cache.Plan_cache.evictions cache.Plan_cache.swept
-        (Plan_cache.hit_rate cache);
+        (n "server.plan_cache.size") (n "server.plan_cache.capacity")
+        (n "server.plan_cache.hits") (n "server.plan_cache.misses")
+        (n "server.plan_cache.evictions") (n "server.plan_cache.swept") (hit_rate v);
       Fmt.pf ppf "plan templates   : %d template hits, %d generic, %d custom-only@."
-        (Plan_cache.template_hits ())
-        (Plan_cache.templates `Generic)
-        (Plan_cache.templates `Custom);
-      Fmt.pf ppf "plan generation  : %d@." (Session.generation session);
-      Fmt.pf ppf "data generation  : %d@." (Session.data_generation session);
+        (n "server.plan_cache.template_hits")
+        (n "server.plan_cache.templates_generic")
+        (n "server.plan_cache.templates_custom");
+      Fmt.pf ppf "plan generation  : %d@." (n "session.generation");
+      Fmt.pf ppf "data generation  : %d@." (n "session.data_generation");
       Fmt.pf ppf "rwlock           : %d read, %d write acquisitions@."
-        rw.Rwlock.read_acquired rw.Rwlock.write_acquired;
+        (n "server.rwlock.read_acquired") (n "server.rwlock.write_acquired");
       (match t.wal with
       | None -> Fmt.pf ppf "wal              : disabled@."
       | Some wal ->
@@ -362,27 +413,32 @@ let stats_text t =
           Fmt.pf ppf
             "wal              : %d records (%d bytes), epoch %d, %d replayed at \
              boot, checkpoint age %.1fs@."
-            ws.Wal.Manager.wal_records ws.Wal.Manager.wal_bytes ws.Wal.Manager.epoch
-            ws.Wal.Manager.replayed ws.Wal.Manager.checkpoint_age_s;
+            ws.Wal.Manager.wal_records ws.Wal.Manager.wal_bytes (n "wal.epoch")
+            ws.Wal.Manager.replayed (v "wal.checkpoint_age_s");
+          let commits = v "wal.commits" and fsyncs = v "wal.fsyncs" in
           Fmt.pf ppf
             "wal group commit : %d commits in %d fsyncs (%.2f fsyncs/commit)@."
-            ws.Wal.Manager.commits ws.Wal.Manager.fsyncs
-            (if ws.Wal.Manager.commits = 0 then 0.
-             else
-               float_of_int ws.Wal.Manager.fsyncs
-               /. float_of_int ws.Wal.Manager.commits));
-      Repl.print_session_stats ppf session)
+            (n "wal.commits") (n "wal.fsyncs")
+            (if commits = 0. then 0. else fsyncs /. commits));
+      Repl.print_session_stats ~value:v ppf session)
 
+(* Every table row, plus the values no registry family stores: the hit
+   rate (derived), the fix memo's invalidation count and the WAL file's
+   current extent (instance state). *)
 let metrics t =
-  let planner = t.planner in
-  let session = Planner.session planner in
-  let cache = Planner.cache_stats planner in
-  let rw = Rwlock.stats t.rw in
-  let es = Session.eval_stats session in
-  let accepted, refused, active, ok, errors, timeouts =
-    locked t (fun () ->
-        (t.accepted, t.refused, t.active, t.queries_ok, t.query_errors, t.timeouts))
+  let v = metric t in
+  let row (key, _, _) =
+    (* [*_s] keys are seconds; every other value is a count *)
+    ( key,
+      if String.ends_with ~suffix:"_s" key then Obs.Json.Float (v key)
+      else Obs.Json.Int (int_of_float (v key)) )
   in
+  let rows =
+    List.filter
+      (fun (key, _, _) -> t.wal <> None || not (String.starts_with ~prefix:"wal." key))
+      table
+  in
+  let _, invalidations = Session.fix_cache_stats (Planner.session t.planner) in
   let wal_fields =
     match t.wal with
     | None -> [ ("wal.enabled", Obs.Json.Bool false) ]
@@ -392,70 +448,15 @@ let metrics t =
           ("wal.enabled", Obs.Json.Bool true);
           ("wal.records", Obs.Json.Int ws.Wal.Manager.wal_records);
           ("wal.bytes", Obs.Json.Int ws.Wal.Manager.wal_bytes);
-          ("wal.epoch", Obs.Json.Int ws.Wal.Manager.epoch);
           ("wal.replayed", Obs.Json.Int ws.Wal.Manager.replayed);
-          ("wal.checkpoint_age_s", Obs.Json.Float ws.Wal.Manager.checkpoint_age_s);
-          ("wal.fsyncs", Obs.Json.Int ws.Wal.Manager.fsyncs);
-          ("wal.commits", Obs.Json.Int ws.Wal.Manager.commits);
         ]
   in
   Obs.Json.Obj
-    ([
-       ("server.connections.accepted", Obs.Json.Int accepted);
-       ("server.connections.refused", Obs.Json.Int refused);
-       ("server.connections.active", Obs.Json.Int active);
-       ("server.queries.ok", Obs.Json.Int ok);
-       ("server.queries.errors", Obs.Json.Int errors);
-       ("server.queries.timeouts", Obs.Json.Int timeouts);
-       ("server.rwlock.read_acquired", Obs.Json.Int rw.Rwlock.read_acquired);
-       ("server.rwlock.write_acquired", Obs.Json.Int rw.Rwlock.write_acquired);
-       ("server.plan_cache.hits", Obs.Json.Int cache.Plan_cache.hits);
-       ("server.plan_cache.misses", Obs.Json.Int cache.Plan_cache.misses);
-       ("server.plan_cache.evictions", Obs.Json.Int cache.Plan_cache.evictions);
-       ("server.plan_cache.insertions", Obs.Json.Int cache.Plan_cache.insertions);
-       ("server.plan_cache.swept", Obs.Json.Int cache.Plan_cache.swept);
-       ("server.plan_cache.size", Obs.Json.Int cache.Plan_cache.size);
-       ("server.plan_cache.capacity", Obs.Json.Int cache.Plan_cache.capacity);
-       ("server.plan_cache.hit_rate", Obs.Json.Float (Plan_cache.hit_rate cache));
-       ("server.plan_cache.template_hits", Obs.Json.Int (Plan_cache.template_hits ()));
-       ( "server.plan_cache.templates_generic",
-         Obs.Json.Int (Plan_cache.templates `Generic) );
-       ( "server.plan_cache.templates_custom",
-         Obs.Json.Int (Plan_cache.templates `Custom) );
-       ("session.statements_run", Obs.Json.Int (Session.statements_run session));
-       ("session.generation", Obs.Json.Int (Session.generation session));
-       ("session.data_generation", Obs.Json.Int (Session.data_generation session));
-       ("session.eval.combinations", Obs.Json.Int es.Eval.combinations);
-       ("session.eval.tuples_read", Obs.Json.Int es.Eval.tuples_read);
-       ("session.eval.tuples_produced", Obs.Json.Int es.Eval.tuples_produced);
-       ("session.eval.probes", Obs.Json.Int es.Eval.probes);
-       ("session.eval.builds", Obs.Json.Int es.Eval.builds);
-       ("session.eval.fix_iterations", Obs.Json.Int es.Eval.fix_iterations);
-       ("session.eval.fix_cache_hits", Obs.Json.Int es.Eval.fix_cache_hits);
-       ("session.eval.fix_cache_misses", Obs.Json.Int es.Eval.fix_cache_misses);
-     ]
-    @ (let m = Session.mv_stats session in
-       let entries, invalidations = Session.fix_cache_stats session in
-       [
-         ( "session.mviews.extents",
-           Obs.Json.Int
-             (List.length (Session.Materializer.views (Session.mviews session)))
-         );
-         ( "session.mviews.maintenance_runs",
-           Obs.Json.Int m.Session.Materializer.maintenance_runs );
-         ( "session.mviews.fallback_recomputes",
-           Obs.Json.Int m.Session.Materializer.fallback_recomputes );
-         ("session.mviews.refreshes", Obs.Json.Int m.Session.Materializer.refreshes);
-         ( "session.mviews.delta_tuples",
-           Obs.Json.Int m.Session.Materializer.delta_tuples );
-         ( "session.mviews.last_refresh_age_s",
-           Obs.Json.Float
-             (if m.Session.Materializer.last_refresh > 0. then
-                Unix.gettimeofday () -. m.Session.Materializer.last_refresh
-              else -1.) );
-         ("session.fix_cache.entries", Obs.Json.Int entries);
-         ("session.fix_cache.invalidations", Obs.Json.Int invalidations);
-       ])
+    (List.map row rows
+    @ [
+        ("server.plan_cache.hit_rate", Obs.Json.Float (hit_rate v));
+        ("session.fix_cache.invalidations", Obs.Json.Int invalidations);
+      ]
     @ wal_fields)
 
 (* SAVE to the daemon's own database path is a checkpoint: the dump and
@@ -497,23 +498,13 @@ let run_verify t line =
             ( (if accepted then Protocol.Ok else Protocol.Error),
               Buffer.contents buf ))
 
-(* STATS RESET zeroes every cumulative, non-integrity counter: the
-   server's own tallies, the plan cache's, the rwlock's, the session's
-   evaluator counters, and the registry's resettable cells.  The plan
-   and data generations, the WAL epoch and its record/byte counters are
+(* STATS RESET zeroes every cumulative, non-integrity counter — one
+   registry reset, since the registry is the only store.  The plan and
+   data generations, the WAL epoch and its record/byte counters are
    integrity markers and deliberately survive. *)
 let run_stats_reset t =
   Rwlock.with_write t.rw (fun () ->
       Session.reset_stats (Planner.session t.planner);
-      Planner.reset_cache_stats t.planner;
-      Rwlock.reset_stats t.rw;
-      locked t (fun () ->
-          t.accepted <- 0;
-          t.refused <- 0;
-          t.queries_ok <- 0;
-          t.query_errors <- 0;
-          t.timeouts <- 0);
-      Metrics.reset_values ();
       `Reply
         ( Protocol.Ok,
           "stats reset (generations, WAL integrity counters and active \
@@ -578,21 +569,15 @@ let process t conn_id raw =
     | reply ->
         let outcome =
           match reply with
-          | `Reply (Protocol.Ok, _) | `Close (Protocol.Ok, _) ->
-              locked t (fun () -> t.queries_ok <- t.queries_ok + 1);
-              "ok"
-          | _ ->
-              locked t (fun () -> t.query_errors <- t.query_errors + 1);
-              "error"
+          | `Reply (Protocol.Ok, _) | `Close (Protocol.Ok, _) -> "ok"
+          | _ -> "error"
         in
         finish outcome reply
     | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
     | exception (Cancel.Timeout _ as e) ->
-        locked t (fun () -> t.timeouts <- t.timeouts + 1);
         finish "timeout"
           (`Reply (Protocol.Error, "error: " ^ Repl.describe_error e ^ "\n"))
     | exception e ->
-        locked t (fun () -> t.query_errors <- t.query_errors + 1);
         finish "error"
           (`Reply (Protocol.Error, "error: " ^ Repl.describe_error e ^ "\n"))
   end
@@ -646,7 +631,6 @@ let handle_connection t conn_id fd =
       loop ())
 
 let refuse t fd =
-  locked t (fun () -> t.refused <- t.refused + 1);
   Metrics.Counter.incr m_conn_refused;
   let payload =
     Printf.sprintf "busy: %d connections active (limit %d), retry later\n"
@@ -668,7 +652,6 @@ let rec accept_loop t =
           locked t (fun () ->
               if t.active >= t.cfg.max_connections then false
               else begin
-                t.accepted <- t.accepted + 1;
                 t.active <- t.active + 1;
                 t.next_conn <- t.next_conn + 1;
                 Hashtbl.replace t.conns t.next_conn fd;
@@ -687,55 +670,6 @@ let rec accept_loop t =
       end
 
 (* ------------------------------------------------------------------ *)
-
-(* Instance-scoped point-in-time state — cache occupancy, generations,
-   WAL epoch/age — is exposed through a registry collector rather than
-   stored cells: it belongs to this server instance and is read fresh at
-   every scrape.  Registered at [start], unregistered at [stop] so a
-   later instance in the same process doesn't double-report. *)
-let collector_samples t () =
-  let session = Planner.session t.planner in
-  let cache = Planner.cache_stats t.planner in
-  let g name help v =
-    {
-      Metrics.name;
-      help;
-      kind = Metrics.K_gauge;
-      labels = [];
-      value = Metrics.Gauge_v v;
-    }
-  in
-  let m = Session.mv_stats session in
-  let fix_entries, _ = Session.fix_cache_stats session in
-  [
-    g "eds_mview_extents" "Materialized views with stored extents"
-      (float_of_int
-         (List.length (Session.Materializer.views (Session.mviews session))));
-    g "eds_mview_last_refresh_age_seconds"
-      "Seconds since the last full (re)compute of any extent (-1 = never)"
-      (if m.Session.Materializer.last_refresh > 0. then
-         Unix.gettimeofday () -. m.Session.Materializer.last_refresh
-       else -1.);
-    g "eds_fix_cache_entries" "Shared closed-fixpoint memo entries"
-      (float_of_int fix_entries);
-    g "eds_plan_cache_entries" "Plans currently cached" (float_of_int cache.Plan_cache.size);
-    g "eds_plan_cache_capacity" "Plan-cache capacity" (float_of_int cache.Plan_cache.capacity);
-    g "eds_session_generation" "Plan-affecting generation (integrity marker)"
-      (float_of_int (Session.generation session));
-    g "eds_session_data_generation" "Data epoch (integrity marker)"
-      (float_of_int (Session.data_generation session));
-  ]
-  @
-  match t.wal with
-  | None -> []
-  | Some wal ->
-      let ws = Wal.Manager.stats wal in
-      [
-        g "eds_wal_epoch" "WAL checkpoint epoch (integrity marker)"
-          (float_of_int ws.Wal.Manager.epoch);
-        g "eds_wal_checkpoint_age_seconds" "Seconds since boot or last checkpoint"
-          ws.Wal.Manager.checkpoint_age_s;
-      ]
 
 let start ?(config = default_config) ?wal session =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -758,12 +692,7 @@ let start ?(config = default_config) ?wal session =
         wal;
         planner = Planner.create ~capacity:config.cache_capacity session;
         state = Mutex.create ();
-        accepted = 0;
-        refused = 0;
         active = 0;
-        queries_ok = 0;
-        query_errors = 0;
-        timeouts = 0;
         stopping = false;
         conns = Hashtbl.create 16;
         conn_threads = [];
@@ -783,21 +712,6 @@ let port t = t.bound_port
 let config t = t.cfg
 let session t = Planner.session t.planner
 let wal t = t.wal
-
-let counters t =
-  let cache = Planner.cache_stats t.planner in
-  let locks = Rwlock.stats t.rw in
-  locked t (fun () ->
-      {
-        accepted = t.accepted;
-        refused = t.refused;
-        active = t.active;
-        queries_ok = t.queries_ok;
-        query_errors = t.query_errors;
-        timeouts = t.timeouts;
-        cache;
-        locks;
-      })
 
 let checkpoint t =
   Rwlock.with_write t.rw (fun () ->

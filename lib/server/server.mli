@@ -42,19 +42,6 @@ val default_config : config
 (** [127.0.0.1:0], 64 connections, backlog 16, 30 s timeout, 256
     plans, no slow-query log. *)
 
-type counters = {
-  accepted : int;  (** connections admitted *)
-  refused : int;  (** connections turned away with [busy] *)
-  active : int;  (** connections being served right now *)
-  queries_ok : int;  (** requests answered [ok] *)
-  query_errors : int;  (** requests answered [error] (excl. timeouts) *)
-  timeouts : int;  (** requests killed by the query budget *)
-  cache : Plan_cache.stats;
-  locks : Rwlock.stats;
-      (** [read_acquired] stays zero across any pure-SELECT workload —
-          the observable proof that snapshot reads are lock-free *)
-}
-
 type t
 
 val start : ?config:config -> ?wal:Wal.Manager.handle -> Session.t -> t
@@ -79,10 +66,32 @@ val checkpoint : t -> unit
 (** Checkpoint under the write lock (no-op without a WAL) — the clean
     path for a daemon shutting down, so restart replays nothing. *)
 
-val counters : t -> counters
+(** {1 Telemetry}
+
+    The process-wide {!Eds_obs.Metrics} registry is the only store of
+    every cumulative tally the server reports; STATS, METRICS and
+    METRICS PROM are views of it.  In [edsd], which serves one instance
+    per process, the registry's totals are this server's; a process
+    running several servers in turn (tests, the bench) reads them as
+    differences. *)
+
+val table : (string * string * (string * string) list) list
+(** The rows STATS, METRICS and [edsd]'s shutdown line render from:
+    [(METRICS key, registry family, labels)].  A key's value is the sum
+    of the family's samples carrying the labels — registry cells for
+    cumulative counters, this instance's collector for point-in-time
+    state ({!Eds.Repl.table_value}).  The [wal.*] rows are rendered
+    only with a WAL. *)
+
+val metric : t -> string -> float
+(** The current value of a {!table} key.  Raises [Not_found] for a key
+    outside the table. *)
+
 val metrics : t -> Eds_obs.Obs.Json.t
-(** The [METRICS] wire payload: a flat JSON object of server,
-    plan-cache, rwlock, WAL and session counters. *)
+(** The [METRICS] wire payload: a flat JSON object of every {!table}
+    row, plus the values no registry family stores — the plan-cache hit
+    rate (derived), [session.fix_cache.invalidations], [wal.enabled] and
+    the WAL file's current [wal.records]/[wal.bytes]/[wal.replayed]. *)
 
 val stop : t -> unit
 (** Stop accepting, sever every live connection, join all threads.

@@ -111,10 +111,10 @@ let test_session_explain_analyze () =
   Alcotest.(check bool) "execution phase" true (contains ~sub:"execution" text);
   Alcotest.(check bool) "per-operator rows" true (contains ~sub:"rows=" text);
   (* analyze executes the query for real: eval stats advance *)
-  let before = (Session.eval_stats s).Eval.tuples_read in
+  let read () = Test_metrics.total "eds_eval_tuples_read_total" in
+  let before = read () in
   ignore (expect_report s "EXPLAIN ANALYZE SELECT Title FROM FILM WHERE Numf = 1");
-  Alcotest.(check bool) "analyze recorded work" true
-    ((Session.eval_stats s).Eval.tuples_read > before)
+  Alcotest.(check bool) "analyze recorded work" true (read () > before)
 
 let test_explain_rejects_non_select () =
   let s = fig8_session () in

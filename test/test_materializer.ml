@@ -228,28 +228,26 @@ let test_shared_fix_cache () =
   create_view ~materialized:false s (List.nth view_pool 1);
   List.iter (exec s)
     [ "INSERT INTO EDGE VALUES (1, 2)"; "INSERT INTO EDGE VALUES (2, 3)" ];
-  let es = Session.eval_stats s in
+  let hits () = Test_metrics.total "eds_eval_fix_cache_hits_total" in
+  let misses () = Test_metrics.total "eds_eval_fix_cache_misses_total" in
   let q () = ignore (Session.query s "SELECT VT.A, VT.B FROM VT") in
   q ();
-  let hits0 = es.Eval.fix_cache_hits in
+  let hits0 = hits () in
   q ();
-  Alcotest.(check bool) "second run served from cache" true
-    (es.Eval.fix_cache_hits > hits0);
+  Alcotest.(check bool) "second run served from cache" true (hits () > hits0);
   (* DML on an unrelated relation keeps the entry valid *)
   exec s "INSERT INTO OTHER VALUES (1)";
-  let hits1 = es.Eval.fix_cache_hits in
+  let hits1 = hits () in
   q ();
-  Alcotest.(check bool) "unrelated DML does not invalidate" true
-    (es.Eval.fix_cache_hits > hits1);
+  Alcotest.(check bool) "unrelated DML does not invalidate" true (hits () > hits1);
   let _, invalidations0 = Session.fix_cache_stats s in
   Alcotest.(check int) "no invalidations so far" 0 invalidations0;
   (* DML on a dependency evicts exactly that entry *)
   exec s "INSERT INTO EDGE VALUES (3, 4)";
-  let misses0 = es.Eval.fix_cache_misses in
+  let misses0 = misses () in
   q ();
   let _, invalidations1 = Session.fix_cache_stats s in
-  Alcotest.(check bool) "dependency DML forces recompute" true
-    (es.Eval.fix_cache_misses > misses0);
+  Alcotest.(check bool) "dependency DML forces recompute" true (misses () > misses0);
   Alcotest.(check bool) "eviction counted" true (invalidations1 > 0);
   (* and the recomputed answer reflects the write *)
   let rel = Session.query s "SELECT VT.A, VT.B FROM VT" in
@@ -298,16 +296,15 @@ let test_columnar_enum () =
   Fun.protect
     ~finally:(fun () -> Column.set_enabled was)
     (fun () ->
-      let es = Session.eval_stats s in
-      let before = es.Eval.columnar_ops in
+      let columnar () = Test_metrics.total "eds_eval_columnar_ops_total" in
+      let before = columnar () in
       let rel =
         Session.query s
           "SELECT NODE.Id, PAINT.Price FROM NODE, PAINT WHERE NODE.Tint = \
            PAINT.Hue"
       in
       Alcotest.(check int) "join result" 2 (Relation.cardinality rel);
-      Alcotest.(check bool) "columnar fast path engaged" true
-        (es.Eval.columnar_ops > before))
+      Alcotest.(check bool) "columnar fast path engaged" true (columnar () > before))
 
 (* -- unit: storage round trip preserves extents -------------------------- *)
 

@@ -6,6 +6,11 @@
 
 module Metrics = Eds_obs.Metrics
 
+(* The registry's current total of a family (cells carrying [labels]
+   summed).  Cells are process-wide and other cases share the process,
+   so tests read differences of totals. *)
+let total ?labels name = int_of_float (Metrics.sum ?labels (Metrics.samples ()) name)
+
 (* -- Prometheus exposition lint ------------------------------------------- *)
 
 (* A structural lint of the text format, returning every violation:

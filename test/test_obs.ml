@@ -11,14 +11,14 @@ module Rulesets = Eds_rewriter.Rulesets
 module Optimizer = Eds_rewriter.Optimizer
 module Value = Eds_value.Value
 module Database = Eds_engine.Database
+module Metrics = Eds_obs.Metrics
 
 (* every test must leave the global observability state untouched *)
 let isolated f =
   Fun.protect
     ~finally:(fun () ->
       Obs.set_sink None;
-      Obs.Profile.set_current None;
-      Obs.reset_metrics ())
+      Obs.Profile.set_current None)
     f
 
 (* -- JSON codec ---------------------------------------------------------- *)
@@ -71,7 +71,6 @@ let test_json_float_repr () =
 let test_disabled_noop () =
   isolated @@ fun () ->
   Obs.set_sink None;
-  Obs.reset_metrics ();
   Alcotest.(check bool) "disabled" false (Obs.enabled ());
   (* every tracing entry point must be callable and inert with no sink *)
   Alcotest.(check int) "span is transparent" 7 (Obs.span "s" (fun () -> 7));
@@ -79,19 +78,17 @@ let test_disabled_noop () =
   Obs.span_end "x";
   Obs.instant "i";
   Obs.counter "c" 1.;
-  Obs.histogram "h" 2.;
-  (* regression: measurements are never dropped — counters and
-     histograms record even with tracing off (they used to be gated on
-     a sink being installed, silently losing every observation) *)
-  let j = Obs.metrics () in
-  let get name field =
-    Option.bind (Json.member name j) (fun m ->
-        Option.bind (Json.member field m) Json.to_float)
-  in
-  Alcotest.(check (option (float 0.))) "counter recorded without sink" (Some 1.)
-    (get "c" "sum");
-  Alcotest.(check (option (float 0.))) "histogram recorded without sink" (Some 2.)
-    (get "h" "sum");
+  (* regression: measurements are never dropped — the registry records
+     with tracing off (measurements used to be gated on a sink being
+     installed, silently losing every observation) *)
+  let c = Metrics.counter "test_obs_disabled_total" in
+  let h = Metrics.histogram "test_obs_disabled_seconds" in
+  let c0 = Metrics.Counter.value c and h0 = Metrics.Histogram.snapshot h in
+  Metrics.Counter.incr c;
+  Metrics.Histogram.observe h 2.;
+  Alcotest.(check int) "counter recorded without sink" 1 (Metrics.Counter.value c - c0);
+  Alcotest.(check (float 1e-9)) "histogram recorded without sink" 2.
+    (Metrics.Histogram.sub (Metrics.Histogram.snapshot h) h0).Metrics.Histogram.sum;
   let v, events = Obs.with_collector (fun () -> 9) in
   Alcotest.(check int) "collector transparent" 9 v;
   Alcotest.(check int) "no events collected when disabled" 0 (List.length events)
@@ -351,25 +348,22 @@ let test_profile_report_text () =
 
 let test_metrics_collection () =
   isolated @@ fun () ->
-  Obs.enable_metrics ();
-  Obs.counter "widgets" 2.;
-  Obs.counter "widgets" 3.;
-  Obs.histogram "latency" 10.;
-  Obs.histogram "latency" 20.;
-  let j = Obs.metrics () in
-  let get name field =
-    Option.bind (Json.member name j) (fun m ->
-        Option.bind (Json.member field m) Json.to_float)
-  in
-  Alcotest.(check (option (float 0.))) "counter sum" (Some 5.) (get "widgets" "sum");
-  Alcotest.(check (option (float 0.))) "histogram count" (Some 2.)
-    (get "latency" "count");
-  Alcotest.(check (option (float 0.))) "histogram max" (Some 20.)
-    (get "latency" "max");
-  Obs.reset_metrics ();
-  match Obs.metrics () with
-  | Json.Obj [] -> ()
-  | j -> Alcotest.failf "reset left metrics behind: %s" (Json.to_string j)
+  let c = Metrics.counter "test_obs_widgets_total" in
+  let h = Metrics.histogram "test_obs_latency_seconds" in
+  Metrics.reset_values ();
+  Metrics.Counter.add c 2;
+  Metrics.Counter.add c 3;
+  Metrics.Histogram.observe h 10.;
+  Metrics.Histogram.observe h 20.;
+  Alcotest.(check (float 0.)) "counter sum" 5.
+    (Metrics.sum (Metrics.samples ()) "test_obs_widgets_total");
+  let snap = Metrics.Histogram.snapshot h in
+  Alcotest.(check int) "histogram count" 2 (Metrics.Histogram.count snap);
+  Alcotest.(check (float 1e-9)) "histogram sum" 30. snap.Metrics.Histogram.sum;
+  Metrics.reset_values ();
+  Alcotest.(check int) "reset zeroes the counter" 0 (Metrics.Counter.value c);
+  Alcotest.(check int) "reset zeroes the histogram" 0
+    (Metrics.Histogram.count (Metrics.Histogram.snapshot h))
 
 let suite =
   [

@@ -20,6 +20,19 @@ module Client = Eds_server.Client
 module Protocol = Eds_server.Protocol
 module Loadtest = Eds_server.Loadtest
 
+let total = Test_metrics.total
+
+(* [name]'s registry growth since this call (process-wide cells: other
+   cases share them, so tests read differences) *)
+let growth name =
+  let n0 = total name in
+  fun () -> total name - n0
+
+(* [key]'s growth since this call, read through the server's table *)
+let since srv key =
+  let n0 = Server.metric srv key in
+  fun () -> int_of_float (Server.metric srv key -. n0)
+
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec probe i = i + n <= m && (String.sub s i n = affix || probe (i + 1)) in
@@ -89,6 +102,10 @@ let test_rwlock_readers_see_invariant () =
 
 let test_plan_cache_lru () =
   let c = Plan_cache.create ~capacity:2 in
+  let insertions = growth "eds_plan_cache_insertions_total" in
+  let evictions = growth "eds_plan_cache_evictions_total" in
+  let hits = growth "eds_plan_cache_hits_total" in
+  let misses = growth "eds_plan_cache_misses_total" in
   Plan_cache.add c "a" 1;
   Plan_cache.add c "b" 2;
   Alcotest.(check (option int)) "a cached" (Some 1) (Plan_cache.find c "a");
@@ -97,23 +114,23 @@ let test_plan_cache_lru () =
   Alcotest.(check (option int)) "b evicted" None (Plan_cache.find c "b");
   Alcotest.(check (option int)) "a survived" (Some 1) (Plan_cache.find c "a");
   Alcotest.(check (option int)) "c cached" (Some 3) (Plan_cache.find c "c");
-  let s = Plan_cache.stats c in
-  Alcotest.(check int) "insertions" 3 s.Plan_cache.insertions;
-  Alcotest.(check int) "evictions" 1 s.Plan_cache.evictions;
-  Alcotest.(check int) "hits" 3 s.Plan_cache.hits;
-  Alcotest.(check int) "misses" 1 s.Plan_cache.misses;
-  Alcotest.(check int) "size bounded" 2 s.Plan_cache.size;
+  Alcotest.(check int) "insertions" 3 (insertions ());
+  Alcotest.(check int) "evictions" 1 (evictions ());
+  Alcotest.(check int) "hits" 3 (hits ());
+  Alcotest.(check int) "misses" 1 (misses ());
+  Alcotest.(check int) "size bounded" 2 (Plan_cache.stats c).Plan_cache.size;
   Plan_cache.clear c;
   Alcotest.(check int) "cleared" 0 (Plan_cache.stats c).Plan_cache.size;
   Alcotest.(check (option int)) "miss after clear" None (Plan_cache.find c "a")
 
 let test_plan_cache_overwrite () =
   let c = Plan_cache.create ~capacity:2 in
+  let insertions = growth "eds_plan_cache_insertions_total" in
   Plan_cache.add c "a" 1;
   Plan_cache.add c "a" 9;
   Alcotest.(check (option int)) "overwritten in place" (Some 9)
     (Plan_cache.find c "a");
-  Alcotest.(check int) "one insertion" 1 (Plan_cache.stats c).Plan_cache.insertions
+  Alcotest.(check int) "one insertion" 1 (insertions ())
 
 (* -- planner ------------------------------------------------------------- *)
 
@@ -169,13 +186,12 @@ let test_planner_generation () =
 let test_planner_records_session_stats () =
   let s = planner_session () in
   let p = Planner.create s in
-  let before = Session.statements_run s in
+  let statements = growth "eds_session_statements_total" in
+  let tuples_read = growth "eds_eval_tuples_read_total" in
   ignore (Planner.execute p "SELECT A FROM P");
   ignore (Planner.execute p "SELECT A FROM P");
-  Alcotest.(check int) "cached executions still counted" (before + 2)
-    (Session.statements_run s);
-  Alcotest.(check bool) "eval work folded into the session" true
-    ((Session.eval_stats s).Eval.tuples_read > 0)
+  Alcotest.(check int) "cached executions still counted" 2 (statements ());
+  Alcotest.(check bool) "eval work recorded" true (tuples_read () > 0)
 
 (* -- copy-on-write snapshots --------------------------------------------- *)
 
@@ -201,9 +217,10 @@ let test_planner_sweeps_stale_generation () =
   Alcotest.(check int) "two live entries" 2 (Planner.cache_stats p).Plan_cache.size;
   (* DDL bumps the plan generation, orphaning both keys *)
   ignore (Session.exec_string s "TABLE QQ (B : INT)");
+  let swept = growth "eds_plan_cache_swept_total" in
   ignore (Planner.execute p "SELECT A FROM P");
   let st = Planner.cache_stats p in
-  Alcotest.(check int) "stale entries swept eagerly" 2 st.Plan_cache.swept;
+  Alcotest.(check int) "stale entries swept eagerly" 2 (swept ());
   Alcotest.(check int) "capacity spent on live keys only" 1 st.Plan_cache.size
 
 (* -- cancellation hygiene ------------------------------------------------- *)
@@ -395,8 +412,8 @@ let test_wire_cache_and_invalidation () =
   let s = planner_session () in
   with_server s (fun srv ->
       with_client srv (fun c ->
-          let hits () = (Server.counters srv).Server.cache.Plan_cache.hits in
-          let misses () = (Server.counters srv).Server.cache.Plan_cache.misses in
+          let hits = growth "eds_plan_cache_hits_total" in
+          let misses = growth "eds_plan_cache_misses_total" in
           ignore (Client.request c "SELECT A FROM P");
           Alcotest.(check int) "first select misses" 1 (misses ());
           ignore (Client.request c "SELECT A FROM P ;");
@@ -444,23 +461,24 @@ let test_wire_save_then_load () =
 let test_wire_metrics_json () =
   with_server (planner_session ()) (fun srv ->
       with_client srv (fun c ->
+          let metrics () =
+            let st, payload = Client.request c "METRICS" in
+            Alcotest.check status "metrics ok" Protocol.Ok st;
+            match Eds_obs.Obs.Json.parse (String.trim payload) with
+            | Error e -> Alcotest.failf "METRICS is not JSON: %s" e
+            | Ok json -> (
+                fun k ->
+                  match Eds_obs.Obs.Json.member k json with
+                  | Some v -> Option.value ~default:(-1) (Eds_obs.Obs.Json.to_int v)
+                  | None -> Alcotest.failf "METRICS lacks %s" k)
+          in
+          let before = metrics () in
           ignore (Client.request c "SELECT A FROM P");
-          let st, payload = Client.request c "METRICS" in
-          Alcotest.check status "metrics ok" Protocol.Ok st;
-          match Eds_obs.Obs.Json.parse (String.trim payload) with
-          | Error e -> Alcotest.failf "METRICS is not JSON: %s" e
-          | Ok json ->
-              let geti k =
-                match Eds_obs.Obs.Json.member k json with
-                | Some v -> Eds_obs.Obs.Json.to_int v
-                | None -> None
-              in
-              Alcotest.(check (option int))
-                "one miss recorded" (Some 1) (geti "server.plan_cache.misses");
-              Alcotest.(check bool) "statements counted" true
-                (match geti "session.statements_run" with
-                | Some n -> n >= 1
-                | None -> false)))
+          let after = metrics () in
+          let delta k = after k - before k in
+          Alcotest.(check int) "one miss recorded" 1 (delta "server.plan_cache.misses");
+          Alcotest.(check bool) "statements counted" true
+            (delta "session.statements_run" >= 1)))
 
 let test_wire_metrics_prom () =
   with_server (planner_session ()) (fun srv ->
@@ -483,6 +501,7 @@ let test_wire_metrics_prom () =
 
 let test_wire_stats_reset () =
   with_server (planner_session ()) (fun srv ->
+      let misses = since srv "server.plan_cache.misses" in
       with_client srv (fun c ->
           ignore (Client.request c "TABLE Q9 (B : INT)");
           ignore (Client.request c "SELECT A FROM P");
@@ -502,8 +521,7 @@ let test_wire_stats_reset () =
             (match geti before "server.queries.ok" with
             | Some n -> n >= 3
             | None -> false);
-          Alcotest.(check (option int)) "a miss accumulated" (Some 1)
-            (geti before "server.plan_cache.misses");
+          Alcotest.(check int) "a miss accumulated" 1 (misses ());
           let st, payload = Client.request c "STATS RESET" in
           Alcotest.check status "stats reset ok" Protocol.Ok st;
           Alcotest.(check bool) "reset names what survives" true
@@ -606,6 +624,8 @@ let slow_session ?(physical = Eval.Physical.Naive) () =
 let test_query_timeout_spares_connection () =
   let config = { Server.default_config with query_timeout = Some 0.05 } in
   with_server ~config (slow_session ()) (fun srv ->
+      let timeouts = since srv "server.queries.timeouts" in
+      let errors = since srv "server.queries.errors" in
       with_client srv (fun c ->
           let st, payload =
             Client.request c "SELECT X FROM A, B, C, D WHERE X = W"
@@ -618,15 +638,15 @@ let test_query_timeout_spares_connection () =
           Alcotest.check status "quick query after timeout" Protocol.Ok st;
           Alcotest.(check bool) "full scan answered" true
             (contains ~affix:"(60 tuples)" payload));
-      let counters = Server.counters srv in
-      Alcotest.(check int) "timeout counted" 1 counters.Server.timeouts;
-      Alcotest.(check int) "not an ordinary error" 0 counters.Server.query_errors)
+      Alcotest.(check int) "timeout counted" 1 (timeouts ());
+      Alcotest.(check int) "not an ordinary error" 0 (errors ()))
 
 (* regression: a deadline surviving a timed-out statement would make the
    same connection's next statements die instantly with stale Timeouts *)
 let test_backtoback_queries_after_timeout () =
   let config = { Server.default_config with query_timeout = Some 0.05 } in
   with_server ~config (slow_session ()) (fun srv ->
+      let timeouts = since srv "server.queries.timeouts" in
       with_client srv (fun c ->
           let st, _ = Client.request c "SELECT X FROM A, B, C, D WHERE X = W" in
           Alcotest.check status "overrunning query errors" Protocol.Error st;
@@ -639,7 +659,7 @@ let test_backtoback_queries_after_timeout () =
               true
               (contains ~affix:"(60 tuples)" payload)
           done);
-      Alcotest.(check int) "exactly one timeout" 1 (Server.counters srv).Server.timeouts)
+      Alcotest.(check int) "exactly one timeout" 1 (timeouts ()))
 
 (* the served Indexed layer enumerates an inequality-only join (no
    equi-keys to hash on) as a cartesian product too: 12,960,000
@@ -648,6 +668,7 @@ let test_indexed_query_timeout () =
   let config = { Server.default_config with query_timeout = Some 0.05 } in
   with_server ~config (slow_session ~physical:Eval.Physical.Indexed ())
     (fun srv ->
+      let timeouts = since srv "server.queries.timeouts" in
       with_client srv (fun c ->
           let t0 = Unix.gettimeofday () in
           let st, payload =
@@ -667,13 +688,14 @@ let test_indexed_query_timeout () =
             (contains ~affix:"(60 tuples)" payload);
           let st, _ = Client.request c "PING" in
           Alcotest.check status "connection still serving" Protocol.Ok st);
-      Alcotest.(check int) "timeout counted" 1 (Server.counters srv).Server.timeouts)
+      Alcotest.(check int) "timeout counted" 1 (timeouts ()))
 
 (* -- admission control --------------------------------------------------- *)
 
 let test_admission_busy () =
   let config = { Server.default_config with max_connections = 1 } in
   with_server ~config (Session.create ()) (fun srv ->
+      let refused = since srv "server.connections.refused" in
       let c1 = Client.connect (Server.port srv) in
       let st, _ = Client.request c1 "PING" in
       Alcotest.check status "first connection served" Protocol.Ok st;
@@ -699,8 +721,7 @@ let test_admission_busy () =
         end
       in
       retry 40;
-      Alcotest.(check bool) "refusals counted" true
-        ((Server.counters srv).Server.refused >= 1))
+      Alcotest.(check bool) "refusals counted" true (refused () >= 1))
 
 (* -- durability over the wire --------------------------------------------- *)
 
@@ -778,6 +799,8 @@ let test_loadtest_concurrent_bit_identical () =
   Loadtest.apply_setup twin;
   let expected = Loadtest.expected_payloads twin in
   with_server s (fun srv ->
+      let reads = since srv "server.rwlock.read_acquired" in
+      let writes = since srv "server.rwlock.write_acquired" in
       let o =
         Loadtest.run ~expected ~port:(Server.port srv) ~clients:16 ~per_client:12 ()
       in
@@ -794,11 +817,8 @@ let test_loadtest_concurrent_bit_identical () =
       (* the acceptance criterion: SELECTs never touch the read lock —
          they evaluate against snapshots; only plan-cache misses took
          the write side *)
-      let c = Server.counters srv in
-      Alcotest.(check int) "zero read-lock acquisitions" 0
-        c.Server.locks.Rwlock.read_acquired;
-      Alcotest.(check bool) "misses planned under the write lock" true
-        (c.Server.locks.Rwlock.write_acquired > 0))
+      Alcotest.(check int) "zero read-lock acquisitions" 0 (reads ());
+      Alcotest.(check bool) "misses planned under the write lock" true (writes () > 0))
 
 let test_loadtest_mixed_verified () =
   let s = Session.create () in
@@ -807,6 +827,7 @@ let test_loadtest_mixed_verified () =
   Loadtest.apply_setup twin;
   let expected = Loadtest.expected_payloads twin in
   with_server s (fun srv ->
+      let reads = since srv "server.rwlock.read_acquired" in
       let o =
         Loadtest.run_mixed ~expected ~port:(Server.port srv) ~clients:8
           ~per_client:20 ()
@@ -819,9 +840,7 @@ let test_loadtest_mixed_verified () =
       Alcotest.(check bool)
         "every response — write acks included — matches the oracle" true
         o.Loadtest.bit_identical;
-      let c = Server.counters srv in
-      Alcotest.(check int) "snapshot reads acquired zero read locks" 0
-        c.Server.locks.Rwlock.read_acquired)
+      Alcotest.(check int) "snapshot reads acquired zero read locks" 0 (reads ()))
 
 (* VERIFY RULES gates an untrusted pack over the wire: a sound pack is
    appended to block "verified", an unsound one is rejected with the
@@ -855,6 +874,106 @@ let test_wire_verify_rules () =
           Alcotest.check status "rules listed" Protocol.Ok st;
           Alcotest.(check bool) "block verified present" true
             (contains ~affix:"verified" payload)))
+
+(* perfbench reads these through METRICS and METRICS PROM differences,
+   and reads a missing key as 0: a renamed key would silently zero a
+   per-layer metric instead of failing *)
+let test_wire_perfbench_keys () =
+  with_temp_db (fun db ->
+      let session, handle, _ = Wal.Manager.recover ~sync:false ~db () in
+      with_server ~wal:handle session (fun srv ->
+          with_client srv (fun c ->
+              let _, json = Client.request c "METRICS" in
+              let json =
+                match Eds_obs.Obs.Json.parse (String.trim json) with
+                | Ok j -> j
+                | Error e -> Alcotest.failf "METRICS is not JSON: %s" e
+              in
+              List.iter
+                (fun key ->
+                  Alcotest.(check bool) ("METRICS has " ^ key) true
+                    (Option.is_some
+                       (Option.bind (Eds_obs.Obs.Json.member key json)
+                          Eds_obs.Obs.Json.to_int)))
+                [
+                  "server.plan_cache.hits"; "server.plan_cache.misses";
+                  "server.plan_cache.evictions"; "server.rwlock.read_acquired";
+                  "server.rwlock.write_acquired"; "session.mviews.maintenance_runs";
+                  "session.mviews.fallback_recomputes"; "session.mviews.delta_tuples";
+                  "session.fix_cache.invalidations"; "wal.fsyncs"; "wal.commits";
+                  "wal.bytes";
+                ];
+              let _, prom = Client.request c "METRICS PROM" in
+              let lines = String.split_on_char '\n' prom in
+              List.iter
+                (fun (name, labels) ->
+                  List.iter
+                    (fun suffix ->
+                      let series = name ^ suffix ^ labels in
+                      Alcotest.(check bool) ("METRICS PROM has " ^ series) true
+                        (List.exists (String.starts_with ~prefix:(series ^ " ")) lines))
+                    [ "_sum"; "_count" ])
+                ([
+                   ("eds_query_duration_seconds", {|{verb="select"}|});
+                   ("eds_query_duration_seconds", {|{verb="write"}|});
+                   ("eds_wal_fsync_duration_seconds", "");
+                 ]
+                @ List.map
+                    (fun p -> ("eds_phase_duration_seconds", Fmt.str {|{phase="%s"}|} p))
+                    [ "parse"; "translate"; "rewrite"; "execute" ])));
+      Wal.Manager.close handle)
+
+(* The registry's atomic cells lose no update: K connections each send N
+   SELECTs, and the query counter, METRICS and STATS all account for
+   exactly K×N of them. *)
+let test_no_lost_update () =
+  let k = 8 and n = 40 in
+  with_server (planner_session ()) (fun srv ->
+      with_client srv (fun c ->
+          let ask line =
+            match Client.request c line with
+            | Protocol.Ok, payload -> payload
+            | _, payload -> Alcotest.failf "%s: %s" line payload
+          in
+          let metrics_ok () =
+            match Eds_obs.Obs.Json.parse (String.trim (ask "METRICS")) with
+            | Ok json ->
+                Option.get
+                  (Option.bind (Eds_obs.Obs.Json.member "server.queries.ok" json)
+                     Eds_obs.Obs.Json.to_int)
+            | Error e -> Alcotest.failf "METRICS is not JSON: %s" e
+          in
+          let stats_ok () =
+            let line =
+              List.find
+                (String.starts_with ~prefix:"requests")
+                (String.split_on_char '\n' (ask "STATS"))
+            in
+            Scanf.sscanf line "requests : %d ok" Fun.id
+          in
+          let selects () =
+            total ~labels:[ ("verb", "select"); ("outcome", "ok") ] "eds_queries_total"
+          in
+          let sel0 = selects () in
+          let m0 = metrics_ok () in
+          let s0 = stats_ok () in
+          let client i () =
+            with_client srv (fun c ->
+                for j = 1 to n do
+                  match Client.request c (Fmt.str "SELECT A FROM P WHERE A > %d" ((i + j) mod 5)) with
+                  | Protocol.Ok, _ -> ()
+                  | _, payload -> failwith payload
+                done)
+          in
+          List.iter Thread.join (List.init k (fun i -> Thread.create (client i) ()));
+          let m1 = metrics_ok () in
+          let s1 = stats_ok () in
+          (* a request counts itself once answered: the METRICS delta also
+             holds the first METRICS and STATS, the STATS delta the first
+             STATS and the second METRICS *)
+          Alcotest.(check int) "select counter" (k * n) (selects () - sel0);
+          Alcotest.(check int) "METRICS server.queries.ok" (k * n) (m1 - m0 - 2);
+          Alcotest.(check int) "STATS requests ok" (k * n) (s1 - s0 - 2)))
 
 let suite =
   [
@@ -915,4 +1034,8 @@ let suite =
       `Quick test_cancel_nested_reports_binding_budget;
     Alcotest.test_case "timeout on the served Indexed layer" `Quick
       test_indexed_query_timeout;
+    Alcotest.test_case "wire: every key perfbench reads is present" `Quick
+      test_wire_perfbench_keys;
+    Alcotest.test_case "registry loses no update under concurrent clients" `Quick
+      test_no_lost_update;
   ]

@@ -198,6 +198,47 @@ let prop_zero_config_is_identity =
       in
       stats.Eds_rewriter.Engine.rewrites_applied = 0 && Lera.equal (canon q) q')
 
+(* A query the default program used to leave unconverged: it needs five
+   rounds, so a four-round first pass still held [filter(R, false)] under
+   a false search that a second pass then merged away. *)
+let test_five_round_query_stable () =
+  let c i j = Lera.Col (i, j) and k n = Lera.Cst (Value.Int n) in
+  let call op a b = Lera.Call (op, [ a; b ]) in
+  let pr = Lera.Project (Lera.Base "R", [ c 1 1; c 1 1 ]) in
+  let q =
+    Lera.Search
+      ( [
+          Lera.Union
+            [
+              Lera.Search ([ pr ], call "=" (c 1 1) (c 1 1), [ c 1 1; c 1 1 ]);
+              Lera.Union
+                [
+                  Lera.Project (Lera.Base "S", [ c 1 1; c 1 1 ]);
+                  Lera.Project (Lera.Base "S", [ c 1 1; c 1 2 ]);
+                ];
+            ];
+          Lera.Filter
+            ( Lera.Search ([ pr ], call "=" (c 1 1) (k 0), [ c 1 1; c 1 1 ]),
+              call "<>" (call "+" (c 1 1) (c 1 1)) (c 1 1) );
+        ],
+        Lera.conj
+          [
+            Lera.disj
+              [
+                call "=" (c 1 1) (call "+" (c 1 1) (c 2 1));
+                call "=" (c 1 1) (call "+" (c 1 1) (c 1 1));
+              ];
+            call "=" (k 1) (c 2 1);
+            call "=" (call "+" (c 1 2) (c 1 1)) (k 0);
+          ],
+        [ c 1 1 ] )
+  in
+  let once = rewrite_default q in
+  Alcotest.(check string) "second pass is identity" (Lera.to_string once)
+    (Lera.to_string (rewrite_default once));
+  Alcotest.(check bool) "results preserved" true
+    (Relation.equal (Eval.run db q) (Eval.run db once))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -207,4 +248,8 @@ let suite =
       prop_simplification_preserves;
       prop_semantic_preserves;
       prop_zero_config_is_identity;
+    ]
+  @ [
+      Alcotest.test_case "five-round query is stable" `Quick
+        test_five_round_query_stable;
     ]

@@ -269,12 +269,13 @@ let test_magic_accepts_parameter () =
 let strings rel = List.map (List.map Value.to_string) rel.Relation.tuples
 
 let counter_delta f =
-  let g0 = Plan_cache.templates `Generic and c0 = Plan_cache.templates `Custom in
-  let h0 = Plan_cache.template_hits () in
+  let templates kind =
+    Test_metrics.total ~labels:[ ("kind", kind) ] "eds_plan_cache_templates"
+  in
+  let hits () = Test_metrics.total "eds_plan_cache_template_hits_total" in
+  let g0 = templates "generic" and c0 = templates "custom" and h0 = hits () in
   f ();
-  ( Plan_cache.templates `Generic - g0,
-    Plan_cache.templates `Custom - c0,
-    Plan_cache.template_hits () - h0 )
+  (templates "generic" - g0, templates "custom" - c0, hits () - h0)
 
 let test_generic_equals_custom () =
   let s = shop () in
@@ -338,16 +339,20 @@ let test_generation_sweeps_templates () =
   let _, o = Planner.plan planner (text 2) in
   Alcotest.check origin "template hit" `Hit o;
   let size () = (Planner.cache_stats planner).Plan_cache.size in
+  let swept =
+    let s0 = Test_metrics.total "eds_plan_cache_swept_total" in
+    fun () -> Test_metrics.total "eds_plan_cache_swept_total" - s0
+  in
   Alcotest.(check int) "template + remembered text" 2 (size ());
   ignore (Session.exec_string s "TABLE OTHER (X : INT)");
   let _, o = Planner.plan planner (text 3) in
   Alcotest.check origin "DDL: the template is gone" `Miss o;
-  Alcotest.(check int) "both swept" 2 (Planner.cache_stats planner).Plan_cache.swept;
+  Alcotest.(check int) "both swept" 2 (swept ());
   Alcotest.(check int) "only the new template lives" 1 (size ());
   Session.add_rules s ~block:"shop" "cheap: @(1,4) < 1000 --> true ;";
   let _, o = Planner.plan planner (text 4) in
   Alcotest.check origin "add_rules: the template is gone" `Miss o;
-  Alcotest.(check int) "swept again" 3 (Planner.cache_stats planner).Plan_cache.swept
+  Alcotest.(check int) "swept again" 3 (swept ())
 
 (* Two threads miss one cold template with different literals; the
    exclusive section lets both in only after both missed.  The template
@@ -412,11 +417,58 @@ let test_program_parsed_once () =
 
 (* -- observability --------------------------------------------------------- *)
 
+(* PROM samples as (family, labels, value); histogram series are
+   skipped (no table row reads one) *)
+let prom_samples text =
+  List.filter_map
+    (fun line ->
+      match String.rindex_opt line ' ' with
+      | _ when line = "" || line.[0] = '#' -> None
+      | None -> None
+      | Some i ->
+          let series = String.sub line 0 i in
+          let value = float_of_string (String.sub line (i + 1) (String.length line - i - 1)) in
+          let name, labels =
+            match String.index_opt series '{' with
+            | None -> (series, [])
+            | Some j ->
+                let body = String.sub series (j + 1) (String.length series - j - 2) in
+                ( String.sub series 0 j,
+                  List.map
+                    (fun kv ->
+                      match String.split_on_char '=' kv with
+                      | [ k; v ] -> (k, String.sub v 1 (String.length v - 2))
+                      | _ -> Alcotest.failf "label %S" kv)
+                    (String.split_on_char ',' body) )
+          in
+          Some (name, labels, value))
+    (String.split_on_char '\n' text)
+
+(* the integers of a STATS line after its label, in order *)
+let stats_ints stats label =
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:label l)
+      (String.split_on_char '\n' stats)
+  with
+  | None -> Alcotest.failf "STATS has no %S line" label
+  | Some l ->
+      let body = String.sub l (String.index l ':' + 1) (String.length l - String.index l ':' - 1) in
+      List.filter_map int_of_string_opt
+        (String.split_on_char ' '
+           (String.map (function ',' | '/' | '(' | ')' -> ' ' | c -> c) body))
+
 let test_stats_metrics_match_prom () =
-  let s = shop () in
-  let srv = Server.start ~config:{ Server.default_config with Server.port = 0 } s in
+  (* the shop, served with a WAL so the wal.* rows are rendered too *)
+  let db = Filename.temp_file "eds_template_wal" ".esql" in
+  Eds.Storage.save (shop ()) db;
+  let s, wal, _ = Eds.Wal.Manager.recover ~sync:false ~db () in
+  let srv = Server.start ~wal ~config:{ Server.default_config with Server.port = 0 } s in
   Fun.protect
-    ~finally:(fun () -> Server.stop srv)
+    ~finally:(fun () ->
+      Server.stop srv;
+      Eds.Wal.Manager.close wal;
+      List.iter Sys.remove [ db; Eds.Wal.Manager.wal_path db ])
     (fun () ->
       let c = Client.connect (Server.port srv) in
       Fun.protect
@@ -427,6 +479,10 @@ let test_stats_metrics_match_prom () =
             | Protocol.Ok, payload -> payload
             | _, payload -> Alcotest.failf "%s: %s" line payload
           in
+          let hits0 = Server.metric srv "server.plan_cache.hits" in
+          ignore (ask "INSERT INTO ITEM VALUES (5, 'rod', 'Blue', 9)");
+          (* an error, so the errors and timeouts rows differ *)
+          ignore (Client.request c "SELECT FROM");
           List.iter
             (fun k -> ignore (ask (Fmt.str "SELECT Label FROM ITEM WHERE Price > %d" k)))
             [ 1; 2; 3 ];
@@ -436,18 +492,17 @@ let test_stats_metrics_match_prom () =
             | Ok j -> j
             | Error e -> Alcotest.failf "METRICS: %s" e
           in
-          let prom = ask "METRICS PROM" in
-          let prom_value series =
-            let lines = String.split_on_char '\n' prom in
-            match
-              List.find_opt (fun l -> String.starts_with ~prefix:(series ^ " ") l) lines
-            with
-            | Some l ->
-                int_of_float
-                  (float_of_string (String.sub l (String.length series + 1)
-                                      (String.length l - String.length series - 1)))
-            | None -> Alcotest.failf "%s missing from METRICS PROM" series
+          let prom = prom_samples (ask "METRICS PROM") in
+          let prom_value (_, family, labels) =
+            List.fold_left
+              (fun acc (name, ls, v) ->
+                if name = family && List.for_all (fun l -> List.mem l ls) labels then
+                  acc +. v
+                else acc)
+              0. prom
           in
+          let row key = List.find (fun (k, _, _) -> k = key) Server.table in
+          let prom_int key = int_of_float (prom_value (row key)) in
           let stats_line =
             List.find
               (fun l -> String.starts_with ~prefix:"plan templates" l)
@@ -463,9 +518,9 @@ let test_stats_metrics_match_prom () =
             | Some v -> Option.get (Eds_obs.Obs.Json.to_int v)
             | None -> Alcotest.failf "%s missing from METRICS" k
           in
-          let hits_p = prom_value "eds_plan_cache_template_hits_total" in
-          let generic_p = prom_value {|eds_plan_cache_templates{kind="generic"}|} in
-          let custom_p = prom_value {|eds_plan_cache_templates{kind="custom"}|} in
+          let hits_p = prom_int "server.plan_cache.template_hits" in
+          let generic_p = prom_int "server.plan_cache.templates_generic" in
+          let custom_p = prom_int "server.plan_cache.templates_custom" in
           Alcotest.(check bool) "template hits happened" true (hits_p >= 2);
           Alcotest.(check int) "STATS template hits" hits_p hits;
           Alcotest.(check int) "STATS generic" generic_p generic;
@@ -476,8 +531,78 @@ let test_stats_metrics_match_prom () =
             (json_int "server.plan_cache.templates_generic");
           Alcotest.(check int) "METRICS custom" custom_p
             (json_int "server.plan_cache.templates_custom");
-          Alcotest.(check int) "template hits count as hits"
-            (json_int "server.plan_cache.hits") 2))
+          Alcotest.(check int) "template hits count as hits" 2
+            (json_int "server.plan_cache.hits" - int_of_float hits0);
+          (* Every row: the METRICS value equals its PROM sample.  Each
+             request counts itself once answered, so the METRICS PROM
+             request sees one more ok query than METRICS, and two more
+             than STATS. *)
+          let answered_since key n = if key = "server.queries.ok" then n else 0 in
+          List.iter
+            (fun ((key, _, _) as r) ->
+              if String.ends_with ~suffix:"_s" key then
+                Alcotest.(check (float 1.)) ("METRICS " ^ key) (prom_value r)
+                  (match Eds_obs.Obs.Json.member key json with
+                  | Some v -> Option.get (Eds_obs.Obs.Json.to_float v)
+                  | None -> Alcotest.failf "%s missing from METRICS" key)
+              else
+                Alcotest.(check int) ("METRICS " ^ key)
+                  (int_of_float (prom_value r) - answered_since key 1)
+                  (json_int key))
+            Server.table;
+          (* every STATS line reading the table, integer by integer *)
+          List.iter
+            (fun (label, keys) ->
+              Alcotest.(check (list int)) ("STATS " ^ label)
+                (List.filter_map
+                   (Option.map (fun key -> prom_int key - answered_since key 2))
+                   keys)
+                (List.filteri
+                   (fun i _ -> Option.is_some (List.nth keys i))
+                   (stats_ints stats label)))
+            [
+              ( "connections",
+                List.map Option.some
+                  [ "server.connections.active"; "server.connections.accepted";
+                    "server.connections.refused" ] );
+              ( "requests",
+                List.map Option.some
+                  [ "server.queries.ok"; "server.queries.errors"; "server.queries.timeouts" ] );
+              ( "plan cache",
+                List.map Option.some
+                  [ "server.plan_cache.size"; "server.plan_cache.capacity";
+                    "server.plan_cache.hits"; "server.plan_cache.misses";
+                    "server.plan_cache.evictions"; "server.plan_cache.swept" ] );
+              ( "plan templates",
+                List.map Option.some
+                  [ "server.plan_cache.template_hits"; "server.plan_cache.templates_generic";
+                    "server.plan_cache.templates_custom" ] );
+              ("plan generation", [ Some "session.generation" ]);
+              ("data generation", [ Some "session.data_generation" ]);
+              ( "rwlock",
+                List.map Option.some
+                  [ "server.rwlock.read_acquired"; "server.rwlock.write_acquired" ] );
+              ("statements run", [ Some "session.statements_run" ]);
+              ("eval combinations", [ Some "session.eval.combinations" ]);
+              ("tuples read", [ Some "session.eval.tuples_read" ]);
+              ("tuples produced", [ Some "session.eval.tuples_produced" ]);
+              ("fixpoint iters", [ Some "session.eval.fix_iterations" ]);
+              ("index probes", [ Some "session.eval.probes" ]);
+              ("index builds", [ Some "session.eval.builds" ]);
+              ( "fix-cache hit/miss",
+                [ Some "session.eval.fix_cache_hits"; Some "session.eval.fix_cache_misses" ] );
+              (* the invalidation count has no registry family *)
+              ("fix-cache shared", [ Some "session.fix_cache.entries"; None ]);
+              (* the WAL file's records, bytes and replay count are
+                 instance state with no registry family *)
+              ("wal ", [ None; None; Some "wal.epoch"; None ]);
+              ("wal group commit", [ Some "wal.commits"; Some "wal.fsyncs" ]);
+              ( "mat. views",
+                List.map Option.some
+                  [ "session.mviews.extents"; "session.mviews.maintenance_runs";
+                    "session.mviews.fallback_recomputes"; "session.mviews.refreshes";
+                    "session.mviews.delta_tuples" ] );
+            ]))
 
 (* -- differential: one planner vs a fresh naive session -------------------- *)
 
