@@ -1139,21 +1139,23 @@ let e6 () =
 
 (* -- E7: interned, columnar storage — vectorized loops vs boxed ------------ *)
 
-(* The columnar tentpole A/B (DESIGN.md decision 14): the same plans on
-   the same physical layer, boxed tuple loops ([~columnar:false] — the
-   seed implementation, still the counter oracle) against interned
-   columnar loops ([~columnar:true]).  The work counters must be
-   identical — the columnar rewrite changes the representation, not the
-   algorithm — so result+counter parity and columnar-path liveness are
-   gated booleans; the wall-clock and allocation shrinkage is the payoff
+(* The columnar A/B (DESIGN.md decision 14) at the layer where both
+   representations live: the two join executors of {!Join_plan} on the
+   same operands and plan, each with the residual test and projection
+   the Indexed layer applies ({!Workloads.join_executors}).  The boxed
+   executor is the seed implementation and the only one for inputs
+   without a columnar shadow.  The work counters must be identical —
+   the columnar executor changes the representation, not the algorithm
+   — so result+counter parity and columnar-path liveness are gated
+   booleans; the wall-clock and allocation shrinkage is the payoff
    recorded in EXPERIMENTS.md §E7.  Allocation is measured in kilowords
    and gated decrease-or-hold: the columnar loops must never start
    allocating per tuple again. *)
 let e7 () =
-  section "E7" "columnar layout: interned ids + int loops vs boxed";
+  section "E7" "columnar layout: the two join executors on one plan";
   let time f =
     ignore (f ());
-    (* warm-up: also forces the lazy column build out of the loop *)
+    (* warm-up *)
     let reps = 3 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
@@ -1175,23 +1177,26 @@ let e7 () =
   row "  %-26s %10s %10s %8s %9s %s@." "" "boxed" "columnar" "speedup"
     "alloc kw" "parity";
   let compare key label db q =
-    let run ~columnar ?stats () =
-      Eval.run ~physical:Eval.Physical.Indexed ?stats ~columnar db q
-    in
+    (* building the executors forces the lazy column build out of the
+       measured runs *)
+    let ex = Workloads.join_executors db q in
+    let columnar_live = Option.is_some ex.Workloads.columnar in
+    let boxed = ex.Workloads.boxed in
+    let columnar = Option.value ex.Workloads.columnar ~default:boxed in
     let sb = Eval.fresh_stats () in
-    let rb = run ~columnar:false ~stats:sb () in
+    let rb = boxed sb in
     let sc = Eval.fresh_stats () in
-    let rc = run ~columnar:true ~stats:sc () in
-    let equal = Relation.equal rb rc in
+    let rc = columnar sc in
+    let canonical = List.sort_uniq Relation.compare_tuples in
+    let equal = canonical rb = canonical rc in
     let counters_equal =
       sb.Eval.combinations = sc.Eval.combinations
       && sb.Eval.probes = sc.Eval.probes
       && sb.Eval.builds = sc.Eval.builds
-      && sb.Eval.tuples_produced = sc.Eval.tuples_produced
+      && List.length rb = List.length rc
     in
-    let columnar_live = sc.Eval.columnar_ops > 0 in
-    let t_boxed = time (fun () -> run ~columnar:false ()) in
-    let t_col = time (fun () -> run ~columnar:true ()) in
+    let t_boxed = time (fun () -> boxed (Eval.fresh_stats ())) in
+    let t_col = time (fun () -> columnar (Eval.fresh_stats ())) in
     let speedup = t_boxed /. t_col in
     metric_int (key ^ ".combinations") sc.Eval.combinations;
     metric_int (key ^ ".probes") sc.Eval.probes;
@@ -1202,8 +1207,8 @@ let e7 () =
     metric_float (key ^ ".boxed_ms") t_boxed;
     metric_float (key ^ ".columnar_ms") t_col;
     metric_float (key ^ ".speedup") speedup;
-    let a_boxed = alloc_kwords (fun () -> run ~columnar:false ()) in
-    let a_col = alloc_kwords (fun () -> run ~columnar:true ()) in
+    let a_boxed = alloc_kwords (fun () -> boxed (Eval.fresh_stats ())) in
+    let a_col = alloc_kwords (fun () -> columnar (Eval.fresh_stats ())) in
     (* the columnar count is exactly repeatable (int loops, no
        hash-bucket shape sensitivity) and gated decrease-or-hold; the
        boxed baseline is bimodal across processes (hash-table growth

@@ -6,6 +6,10 @@ module Vtype = Eds_value.Vtype
 module Lera = Eds_lera.Lera
 module Relation = Eds_engine.Relation
 module Database = Eds_engine.Database
+module Eval = Eds_engine.Eval
+module Expr_eval = Eds_engine.Expr_eval
+module Join_plan = Eds_engine.Join_plan
+module Column = Eds_engine.Column
 module Session = Eds.Session
 
 (* deterministic pseudo-random stream *)
@@ -239,3 +243,83 @@ let fat_chain_db ~size ~fan =
   db
 
 let fat_chain_query = chain_join_query
+
+(* -- E7: the two join executors on one plan ------------------------------- *)
+
+(* A Search over base relations, taken apart the way the Indexed layer
+   of Eval hands it to a join executor: operands, equi-join plan,
+   residual and projection.  [boxed] runs {!Join_plan.execute} and
+   [columnar] {!Join_plan.execute_columnar}, each with the residual test
+   and projection Eval applies, and both return the unordered output
+   tuples.  They count into [stats] what Eval counts: one [combinations]
+   per equi-matched combination, plus the executor's [probes] and
+   [builds].  [columnar] is [None] when Eval would fall back to boxed:
+   an operand without a shadow, mismatched key flavors or a residual
+   that does not compile. *)
+type executors = {
+  boxed : Eval.stats -> Relation.tuple list;
+  columnar : (Eval.stats -> Relation.tuple list) option;
+}
+
+let join_executors db (q : Lera.rel) =
+  let rs, qual, ps =
+    match q with
+    | Lera.Search (rs, qual, ps) -> (rs, qual, ps)
+    | _ -> invalid_arg "join_executors: not a Search"
+  in
+  let rels =
+    Array.of_list
+      (List.map
+         (function
+           | Lera.Base n -> Database.relation db n
+           | _ -> invalid_arg "join_executors: operand is not a base relation")
+         rs)
+  in
+  let plan = Join_plan.analyze ~operands:(Array.length rels) qual in
+  let residual = Join_plan.residual plan in
+  let project combo = List.map (fun p -> Expr_eval.eval db ~inputs:combo p) ps in
+  let run (s : Eval.stats) execute keep =
+    let out = ref [] in
+    execute
+      ~on_build:(fun () -> s.Eval.builds <- s.Eval.builds + 1)
+      ~on_probe:(fun () -> s.Eval.probes <- s.Eval.probes + 1)
+      (fun combo ->
+        s.Eval.combinations <- s.Eval.combinations + 1;
+        match keep combo with Some t -> out := t :: !out | None -> ());
+    !out
+  in
+  let boxed s =
+    run s (fun ~on_build ~on_probe -> Join_plan.execute ~on_build ~on_probe plan rels)
+      (fun combo ->
+        if Expr_eval.eval_bool db ~inputs:combo residual then Some (project combo)
+        else None)
+  in
+  let columnar =
+    match Array.map Relation.columns rels with
+    | tables when Array.exists Option.is_none tables -> None
+    | tables -> (
+      let tables = Array.map Option.get tables in
+      let test =
+        if not (Join_plan.columnar_ok plan tables) then None
+        else
+          match Column.Pred.compile ~adts:(Database.adts db) tables residual with
+          | Column.Pred.Opaque -> None
+          | Column.Pred.Always -> Some (fun _ -> true)
+          | Column.Pred.Rows p -> Some p
+      in
+      match test with
+      | None -> None
+      | Some test ->
+        let n = Array.length tables in
+        Some
+          (fun s ->
+            run s
+              (fun ~on_build ~on_probe ->
+                Join_plan.execute_columnar ~on_build ~on_probe plan tables)
+              (fun rows ->
+                if test rows then
+                  Some
+                    (project (List.init n (fun k -> Column.tuple_at tables.(k) rows.(k))))
+                else None)))
+  in
+  { boxed; columnar }

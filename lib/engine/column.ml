@@ -30,15 +30,6 @@ type table = {
   cols : col array;
 }
 
-let enabled_flag =
-  let init =
-    match Sys.getenv_opt "EDS_COLUMNAR" with Some "0" -> false | _ -> true
-  in
-  Atomic.make init
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
 let flavor = function
   | Ints _ -> F_int
   | Oids _ -> F_oid

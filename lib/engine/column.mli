@@ -41,13 +41,6 @@ type table = {
   cols : col array;  (** all of length [nrows] *)
 }
 
-val enabled : unit -> bool
-(** Default for the evaluator's [~columnar] switch.  Initialized from
-    the [EDS_COLUMNAR] environment variable ([0] disables; anything
-    else, or unset, enables). *)
-
-val set_enabled : bool -> unit
-
 val flavor : col -> flavor
 
 val flavors_equal : table -> table -> bool

@@ -204,9 +204,9 @@ let rec rvar_mentioned n (r : Lera.rel) =
   | Lera.Inter _ | Lera.Search _ | Lera.Nest _ | Lera.Unnest _ ->
     List.exists (rvar_mentioned n) (Lera.inputs r)
 
-(* closed fixpoint subexpressions, memoized within one run: the magic
-   fixpoint appears as an operand of several answer arms.  Keyed on the
-   term's structural hash (Lera.hash) instead of a linear assoc scan. *)
+(* closed fixpoint subexpressions, keyed on the term's structural hash
+   (Lera.hash) instead of a linear assoc scan: the magic fixpoint appears
+   as an operand of several answer arms. *)
 module Fix_cache = Hashtbl.Make (struct
   type t = Lera.rel
 
@@ -234,7 +234,8 @@ let base_deps (r : Lera.rel) : string list =
    the relation records a write touches, so an entry is stale iff one of
    its dependencies is no longer the same record — DML on unrelated
    relations leaves it valid, no explicit invalidation hooks needed.
-   Thread-safe (the query server shares one across connections). *)
+   Thread-safe (the query server shares one across connections); a run
+   given none memoizes into a fresh one of its own. *)
 module Shared_fix_cache = struct
   type entry = {
     result : Relation.t;
@@ -246,15 +247,16 @@ module Shared_fix_cache = struct
   type t = {
     tbl : entry Fix_cache.t;
     lock : Mutex.t;
-    mutable invalidations : int;
+    invalidations : int Atomic.t;
+        (** bumped under [lock], read lock-free by the stats surfaces *)
   }
 
   let create () =
-    { tbl = Fix_cache.create 16; lock = Mutex.create (); invalidations = 0 }
+    { tbl = Fix_cache.create 8; lock = Mutex.create (); invalidations = Atomic.make 0 }
 
   let clear t = Mutex.protect t.lock (fun () -> Fix_cache.reset t.tbl)
   let size t = Mutex.protect t.lock (fun () -> Fix_cache.length t.tbl)
-  let invalidations t = t.invalidations
+  let invalidations t = Atomic.get t.invalidations
 
   let deps_valid db deps =
     List.for_all
@@ -274,7 +276,7 @@ module Shared_fix_cache = struct
           if deps_valid db e.deps then Some e.result
           else begin
             Fix_cache.remove t.tbl r;
-            t.invalidations <- t.invalidations + 1;
+            Atomic.incr t.invalidations;
             None
           end
         | None -> None)
@@ -285,8 +287,6 @@ module Shared_fix_cache = struct
     in
     Mutex.protect t.lock (fun () -> Fix_cache.replace t.tbl r { result; deps })
 end
-
-type fix_memo = Per_run of Relation.t Fix_cache.t | Shared of Shared_fix_cache.t
 
 (* -- EXPLAIN ANALYZE collection ------------------------------------------
 
@@ -322,15 +322,9 @@ type raw_node = {
   rw_kids : raw_node list;
 }
 
-type frame = {
-  fr_label : string;
-  fr_t0 : float;
-  fr_s0 : stats;
-  mutable fr_kids : raw_node list;  (** reversed *)
-}
-
 type analysis = {
-  mutable an_stack : frame list;
+  mutable an_stack : raw_node list ref list;
+      (** the finished children of every open operator, reversed *)
   mutable an_roots : raw_node list;
 }
 
@@ -340,12 +334,17 @@ type ctx = {
   physical : Physical.t;
   stats : stats;
   rvars : (string * Relation.t) list;
-  fix_cache : fix_memo;
-  columnar : bool;
-      (** try the vectorized fast paths; always [false] under
-          {!Physical.Naive} (the paper-shape counter oracle stays boxed) *)
+  fix_cache : Shared_fix_cache.t;
   analyze : analysis option;  (** [Some] only under {!run_analyzed} *)
 }
+
+(* Whether to try the vectorized fast paths: the Indexed layer takes one
+   whenever its operands have a columnar shadow and the operator's
+   predicate and flavors qualify, and otherwise runs the boxed loops.
+   {!Physical.Naive} always stays boxed: it is the paper-shape counter
+   oracle. *)
+let vectorized ctx =
+  match ctx.physical with Physical.Indexed -> true | Physical.Naive -> false
 
 (* Selection: one [combinations] per input tuple, [q] applied to the
    single-tuple binding. *)
@@ -372,7 +371,7 @@ let project_tuples ctx ps (ra : Relation.t) =
    otherwise. *)
 let columnar_filter ctx q (ra : Relation.t) =
   let boxed () = Relation.make ra.Relation.schema (filter_tuples ctx q ra) in
-  if not ctx.columnar then boxed ()
+  if not (vectorized ctx) then boxed ()
   else
     match Relation.columns ra with
     | None -> boxed ()
@@ -407,7 +406,7 @@ let columnar_filter ctx q (ra : Relation.t) =
    out-of-range pick, whose boxed evaluation raises) falls back. *)
 let columnar_project ctx ps schema (ra : Relation.t) =
   let boxed () = Relation.make schema (project_tuples ctx ps ra) in
-  if not ctx.columnar then boxed ()
+  if not (vectorized ctx) then boxed ()
   else
     match Relation.columns ra with
     | None -> boxed ()
@@ -447,7 +446,7 @@ let columnar_project ctx ps schema (ra : Relation.t) =
    arities never pass [flavors_equal].  Like the boxed set operations,
    counts nothing. *)
 let columnar_members ctx ~keep_found (ra : Relation.t) (rb : Relation.t) =
-  if (not ctx.columnar) || Relation.is_empty ra || Relation.is_empty rb then
+  if (not (vectorized ctx)) || Relation.is_empty ra || Relation.is_empty rb then
     None
   else
     match (Relation.columns ra, Relation.columns rb) with
@@ -498,94 +497,78 @@ let record (d : stats) =
   Metrics.Counter.add m_columnar d.columnar_ops
 
 let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
-    ?(rvars = []) ?columnar ?fix_cache ?analyze db (r : Lera.rel) :
-    Relation.t =
+    ?(rvars = []) ?fix_cache ?analyze db (r : Lera.rel) : Relation.t =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  let fix_memo =
-    match fix_cache with
-    | Some shared -> Shared shared
-    | None -> Per_run (Fix_cache.create 8)
-  in
-  let columnar =
-    (match columnar with Some c -> c | None -> Column.enabled ())
-    && physical <> Physical.Naive
+  let fix_cache =
+    match fix_cache with Some c -> c | None -> Shared_fix_cache.create ()
   in
   let s0 = copy_stats stats in
   Fun.protect
     ~finally:(fun () -> record (diff_stats stats s0))
-    (fun () ->
-      eval
-        { db; mode; physical; stats; rvars; fix_cache = fix_memo; columnar;
-          analyze }
-        r)
+    (fun () -> eval { db; mode; physical; stats; rvars; fix_cache; analyze } r)
 
-(* Every operator evaluation becomes a span when tracing is on, carrying
-   its output cardinality and the combinations it enumerated — the
-   intermediate-result sizes of a plan are then readable straight off
-   the trace.  With tracing off (and no analysis attached) this is one
-   load and one branch around [eval_node]. *)
+(* With tracing off and no analysis attached this is one load and one
+   branch around [eval_node]. *)
 and eval ctx (r : Lera.rel) : Relation.t =
   match ctx.analyze with
-  | Some a -> eval_analyzed ctx a r
-  | None -> eval_traced ctx r
+  | None when not (Obs.enabled ()) -> eval_node ctx r
+  | analyze -> eval_framed ctx analyze r
 
-and eval_analyzed ctx a (r : Lera.rel) : Relation.t =
-  let fr =
-    {
-      fr_label = op_label r;
-      fr_t0 = Obs.now ();
-      fr_s0 = copy_stats ctx.stats;
-      fr_kids = [];
-    }
-  in
-  a.an_stack <- fr :: a.an_stack;
-  let finish rows =
-    (match a.an_stack with _ :: rest -> a.an_stack <- rest | [] -> ());
-    let raw =
-      {
-        rw_label = fr.fr_label;
-        rw_rows = rows;
-        rw_t = Obs.now () -. fr.fr_t0;
-        rw_d = diff_stats ctx.stats fr.fr_s0;
-        rw_kids = List.rev fr.fr_kids;
-      }
-    in
-    match a.an_stack with
-    | parent :: _ -> parent.fr_kids <- raw :: parent.fr_kids
-    | [] -> a.an_roots <- raw :: a.an_roots
+(* The per-operator frame.  Every operator evaluation becomes a span when
+   tracing is on, carrying its output cardinality and the work it did —
+   the intermediate-result sizes of a plan are then readable straight
+   off the trace — and, under an analysis, an execution-tree node with
+   its inclusive wall time; both read one stats delta. *)
+and eval_framed ctx analyze (r : Lera.rel) : Relation.t =
+  let label = op_label r in
+  let name = "eval:" ^ label in
+  let traced = Obs.enabled () in
+  let t0 = Obs.now () in
+  let s0 = copy_stats ctx.stats in
+  let kids = ref [] in
+  Option.iter (fun a -> a.an_stack <- kids :: a.an_stack) analyze;
+  if traced then Obs.span_begin ~cat:"eval" name;
+  let finish result =
+    let d = diff_stats ctx.stats s0 in
+    let rows = match result with Some rel -> Relation.cardinality rel | None -> 0 in
+    (if traced then
+       let attrs =
+         match result with
+         | None -> []
+         | Some _ ->
+           [
+             ("rows_out", Obs.Json.Int rows);
+             ("combinations", Obs.Json.Int d.combinations);
+             ("tuples_read", Obs.Json.Int d.tuples_read);
+             ("probes", Obs.Json.Int d.probes);
+             ("builds", Obs.Json.Int d.builds);
+           ]
+       in
+       Obs.span_end ~cat:"eval" ~attrs name);
+    match analyze with
+    | None -> ()
+    | Some a -> (
+      (match a.an_stack with _ :: rest -> a.an_stack <- rest | [] -> ());
+      let raw =
+        {
+          rw_label = label;
+          rw_rows = rows;
+          rw_t = Obs.now () -. t0;
+          rw_d = d;
+          rw_kids = List.rev !kids;
+        }
+      in
+      match a.an_stack with
+      | parent :: _ -> parent := raw :: !parent
+      | [] -> a.an_roots <- raw :: a.an_roots)
   in
   match eval_node ctx r with
   | rel ->
-    finish (Relation.cardinality rel);
+    finish (Some rel);
     rel
   | exception e ->
-    finish 0;
+    finish None;
     raise e
-
-and eval_traced ctx (r : Lera.rel) : Relation.t =
-  if not (Obs.enabled ()) then eval_node ctx r
-  else begin
-    let name = "eval:" ^ op_label r in
-    let s0 = copy_stats ctx.stats in
-    Obs.span_begin ~cat:"eval" name;
-    match eval_node ctx r with
-    | rel ->
-      let d = diff_stats ctx.stats s0 in
-      Obs.span_end ~cat:"eval"
-        ~attrs:
-          [
-            ("rows_out", Obs.Json.Int (Relation.cardinality rel));
-            ("combinations", Obs.Json.Int d.combinations);
-            ("tuples_read", Obs.Json.Int d.tuples_read);
-            ("probes", Obs.Json.Int d.probes);
-            ("builds", Obs.Json.Int d.builds);
-          ]
-        name;
-      rel
-    | exception e ->
-      Obs.span_end ~cat:"eval" name;
-      raise e
-  end
 
 (* Enumerate the operand combinations satisfying qualification [q],
    counting one [combinations] per qualified candidate.  The naive layer
@@ -637,7 +620,7 @@ and all_columns inputs =
 and columnar_join : 'a. ctx -> Relation.t list -> Lera.scalar ->
     (Relation.tuple list -> 'a) -> 'a list option =
   fun ctx inputs q f ->
-  if (not ctx.columnar) || inputs = [] then None
+  if (not (vectorized ctx)) || inputs = [] then None
   else begin
     let plan = Join_plan.analyze ~operands:(List.length inputs) q in
     if not (Join_plan.has_equis plan) then None
@@ -770,12 +753,7 @@ and eval_node ctx (r : Lera.rel) : Relation.t =
     in
     if not closed then produce stats (fixpoint ctx n body)
     else begin
-      let cached =
-        match ctx.fix_cache with
-        | Per_run tbl -> Fix_cache.find_opt tbl r
-        | Shared c -> Shared_fix_cache.find c db r
-      in
-      match cached with
+      match Shared_fix_cache.find ctx.fix_cache db r with
       | Some cached ->
         stats.fix_cache_hits <- stats.fix_cache_hits + 1;
         if Obs.enabled () then
@@ -787,9 +765,7 @@ and eval_node ctx (r : Lera.rel) : Relation.t =
           Obs.counter "eval.fix_cache.misses"
             (float_of_int stats.fix_cache_misses);
         let result = produce stats (fixpoint ctx n body) in
-        (match ctx.fix_cache with
-        | Per_run tbl -> Fix_cache.replace tbl r result
-        | Shared c -> Shared_fix_cache.store c db r result);
+        Shared_fix_cache.store ctx.fix_cache db r result;
         result
     end
   | Lera.Nest (a, group, nested) ->
@@ -930,8 +906,8 @@ and seminaive_fixpoint ctx n body schema =
   in
   if rec_arms = [] then base else iterate base base
 
-let run ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r =
-  run_ctx ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r
+let run ?mode ?physical ?stats ?rvars ?fix_cache db r =
+  run_ctx ?mode ?physical ?stats ?rvars ?fix_cache db r
 
 (* -- report collapse ------------------------------------------------------ *)
 
@@ -984,11 +960,9 @@ and node_of_raw rw =
     children = collapse rw.rw_kids;
   }
 
-let run_analyzed ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r =
+let run_analyzed ?mode ?physical ?stats ?rvars ?fix_cache db r =
   let a = { an_stack = []; an_roots = [] } in
-  let rel =
-    run_ctx ?mode ?physical ?stats ?rvars ?columnar ?fix_cache ~analyze:a db r
-  in
+  let rel = run_ctx ?mode ?physical ?stats ?rvars ?fix_cache ~analyze:a db r in
   let report =
     match collapse (List.rev a.an_roots) with
     | [ n ] -> n

@@ -98,7 +98,8 @@ module Shared_fix_cache : sig
   val size : t -> int
 
   val invalidations : t -> int
-  (** Stale entries evicted on lookup since creation. *)
+  (** Stale entries evicted on lookup since creation (an atomic read,
+      safe from any thread). *)
 end
 
 val run :
@@ -106,24 +107,23 @@ val run :
   ?physical:Physical.t ->
   ?stats:stats ->
   ?rvars:(string * Relation.t) list ->
-  ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
   Database.t ->
   Lera.rel ->
   Relation.t
 (** Evaluate an expression.  [rvars] supplies bindings for free recursion
     variables (used internally and by tests).  Default mode is
-    [Seminaive]; default physical layer is [Indexed].  [columnar]
-    enables the vectorized fast paths of the Indexed layer (join,
-    filter, project, diff/inter, semi-naive freshness) for
-    operators whose operands have a columnar shadow ({!Column}); it
-    defaults to {!Column.enabled} and is forced off under
-    {!Physical.Naive}, whose boxed enumeration is the counter oracle.
-    Results and all {!stats} fields except [columnar_ops] are identical
-    either way.  [fix_cache] attaches a {!Shared_fix_cache} so closed
-    fixpoints memoized by a previous run can be reused (validated
-    per-relation against this run's database); without it every run gets
-    a fresh private memo, preserving exact counter parity across layers.
+    [Seminaive]; default physical layer is [Indexed].  The Indexed layer
+    takes a vectorized fast path (join, filter, project, diff/inter,
+    semi-naive freshness) wherever the operands have a columnar shadow
+    ({!Column}), the predicate compiles and the column flavors match,
+    and runs the boxed loops otherwise; {!Physical.Naive}, the counter
+    oracle, always stays boxed.  Results and all {!stats} fields except
+    [columnar_ops] are identical either way.  [fix_cache] attaches a
+    {!Shared_fix_cache} so closed fixpoints memoized by a previous run
+    can be reused (validated per-relation against this run's database);
+    without it every run memoizes into a fresh one, preserving exact
+    counter parity across layers.
     Raises {!Eval_error} (or {!Expr_eval.Eval_error}) on ill-formed
     plans.
 
@@ -153,7 +153,6 @@ val run_analyzed :
   ?physical:Physical.t ->
   ?stats:stats ->
   ?rvars:(string * Relation.t) list ->
-  ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
   Database.t ->
   Lera.rel ->

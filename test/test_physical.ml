@@ -1,18 +1,24 @@
 (* The physical evaluation layer (Eval.Physical): the indexed hash-join
-   evaluator, boxed and columnar, against the naive cartesian reference.
+   evaluator against the naive cartesian reference.  The Indexed layer
+   picks its representation from the input — vectorized wherever the
+   operands carry a columnar shadow, boxed otherwise — so the boxed
+   loops are covered by inputs that have no shadow, with Naive (always
+   boxed) as the oracle.
 
-   - golden cross-mode suite: on every fixture plan, Naive, boxed
-     Indexed and columnar Indexed produce Relation.equal results;
+   - golden cross-mode suite: on every fixture plan, Naive and Indexed
+     produce Relation.equal results;
    - work bounds: the Figure-8-shaped selective join stays within a
      hash-work budget that the naive layer exceeds by orders of
      magnitude;
    - set-operation operand validation (union/diff/inter arity errors);
-   - Join_plan equi-conjunct extraction;
-   - a qcheck property over random schema-correct LERA plans: all three
-     configurations (Naive, boxed Indexed, columnar Indexed) agree, the
-     indexed layer's combinations and probes never exceed the naive
-     layer's combinations, and the columnar counters equal the boxed
-     ones exactly;
+   - Join_plan equi-conjunct extraction, and a qcheck property that the
+     boxed and columnar executors enumerate the same combinations with
+     identical probe and build counts;
+   - a qcheck property over random schema-correct LERA plans, on the
+     generator's database and on a twin whose base relations have no
+     columnar shadow: Naive and Indexed agree, and the indexed layer's
+     combinations and probes never exceed the naive layer's
+     combinations;
    - columnar activation: qualifying all-scalar plans actually take the
      vectorized paths (columnar_ops > 0) and mixed-flavor or
      disqualified inputs fall back with identical results. *)
@@ -24,34 +30,18 @@ module Relation = Eds_engine.Relation
 module Database = Eds_engine.Database
 module Eval = Eds_engine.Eval
 module Join_plan = Eds_engine.Join_plan
+module Column = Eds_engine.Column
 
-(* boxed runs: ~columnar:false pins the representation so the matrix
-   below stays meaningful even though EDS_COLUMNAR defaults on *)
 let run_both ?mode db rel =
   let sn = Eval.fresh_stats () and si = Eval.fresh_stats () in
   let rn = Eval.run ?mode ~physical:Eval.Physical.Naive ~stats:sn db rel in
-  let ri =
-    Eval.run ?mode ~physical:Eval.Physical.Indexed ~columnar:false ~stats:si db
-      rel
-  in
+  let ri = Eval.run ?mode ~physical:Eval.Physical.Indexed ~stats:si db rel in
   ((rn, sn), (ri, si))
 
-let run_columnar ?mode ~physical db rel =
+let run_indexed db rel =
   let s = Eval.fresh_stats () in
-  let r = Eval.run ?mode ~physical ~columnar:true ~stats:s db rel in
+  let r = Eval.run ~physical:Eval.Physical.Indexed ~stats:s db rel in
   (r, s)
-
-(* every counter, including the hash work and the fix-cache ones: the
-   columnar paths must count exactly what the boxed ones do *)
-let stats_equal (a : Eval.stats) (b : Eval.stats) =
-  a.Eval.combinations = b.Eval.combinations
-  && a.Eval.tuples_read = b.Eval.tuples_read
-  && a.Eval.tuples_produced = b.Eval.tuples_produced
-  && a.Eval.fix_iterations = b.Eval.fix_iterations
-  && a.Eval.probes = b.Eval.probes
-  && a.Eval.builds = b.Eval.builds
-  && a.Eval.fix_cache_hits = b.Eval.fix_cache_hits
-  && a.Eval.fix_cache_misses = b.Eval.fix_cache_misses
 
 let check_agree ?mode name db rel =
   let (rn, sn), (ri, si) = run_both ?mode db rel in
@@ -65,15 +55,7 @@ let check_agree ?mode name db rel =
     (Fmt.str "%s: probes %d <= naive combos %d" name si.Eval.probes
        sn.Eval.combinations)
     true
-    (si.Eval.probes <= sn.Eval.combinations);
-  let rc, sc = run_columnar ?mode ~physical:Eval.Physical.Indexed db rel in
-  Alcotest.(check bool)
-    (name ^ ": columnar indexed equals boxed indexed")
-    true (Relation.equal ri rc);
-  Alcotest.(check bool)
-    (Fmt.str "%s: columnar counters equal boxed (%a vs %a)" name Eval.pp_stats
-       sc Eval.pp_stats si)
-    true (stats_equal sc si)
+    (si.Eval.probes <= sn.Eval.combinations)
 
 (* -- golden cross-mode fixtures ----------------------------------------- *)
 
@@ -255,7 +237,35 @@ let qdb () = Gen.db ()
 let gen_plan = Gen.gen_plan
 let print_plan = Gen.print_plan
 
+(* The boxed twin of a database: the first row of every relation holds
+   an equal Real in place of each Int.  Value.compare equates the two,
+   so every plan has the same answer on both, but a column mixing Int
+   and Real has no columnar shadow, so the Indexed layer runs its boxed
+   loops on every base relation of the twin. *)
+let boxed_twin db =
+  let twin = Database.create () in
+  List.iter
+    (fun n ->
+      let r = Database.relation db n in
+      let realify = function Value.Int i -> Value.Real (float_of_int i) | v -> v in
+      let tuples =
+        match r.Relation.tuples with
+        | first :: rest -> List.map realify first :: rest
+        | [] -> []
+      in
+      Database.add_relation twin n (Relation.make r.Relation.schema tuples))
+    (Database.relation_names db);
+  twin
+
+let layers_agree db rel =
+  let (rn, sn), (ri, si) = run_both db rel in
+  Relation.equal rn ri
+  && si.Eval.combinations <= sn.Eval.combinations
+  && si.Eval.probes <= sn.Eval.combinations
+
 let test_random_plans_agree =
+  let db = qdb () in
+  let twin = boxed_twin db in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:
@@ -263,14 +273,98 @@ let test_random_plans_agree =
           random plans"
        ~count:250 ~print:print_plan gen_plan
        (fun (rel, _) ->
-         let db = qdb () in
-         let (rn, sn), (ri, si) = run_both db rel in
-         let rc, sc = run_columnar ~physical:Eval.Physical.Indexed db rel in
-         Relation.equal rn ri
-         && Relation.equal ri rc
-         && stats_equal sc si
-         && si.Eval.combinations <= sn.Eval.combinations
-         && si.Eval.probes <= sn.Eval.combinations))
+         layers_agree db rel
+         && layers_agree twin rel
+         && Relation.equal (Eval.run db rel) (Eval.run twin rel)))
+
+let test_boxed_twin () =
+  let db = qdb () in
+  let twin = boxed_twin db in
+  List.iter
+    (fun n ->
+      let shadowed d = Relation.columns (Database.relation d n) <> None in
+      Alcotest.(check bool) (n ^ " has a shadow") true (shadowed db);
+      Alcotest.(check bool) (n ^ " twin has none") false (shadowed twin))
+    (Database.relation_names db);
+  let join =
+    Lera.Search
+      ( [ Lera.Base "R0"; Lera.Base "R1" ],
+        Lera.eq (Lera.col 1 1) (Lera.col 2 1),
+        [ Lera.col 1 2; Lera.col 2 2 ] )
+  in
+  let r, s = run_indexed db join and rt, st = run_indexed twin join in
+  Alcotest.(check bool) "same answer" true (Relation.equal r rt);
+  Alcotest.(check bool) "columnar on the generator's database" true
+    (s.Eval.columnar_ops > 0);
+  Alcotest.(check int) "boxed on the twin" 0 st.Eval.columnar_ops
+
+(* Join_plan's two executors on the same plan and operands: the same
+   combination set and the same probe and build counts.  Operands are
+   all-Int (one flavor), so the columnar precondition always holds. *)
+let gen_join_case =
+  let open QCheck2.Gen in
+  int_range 2 4 >>= fun n ->
+  list_repeat n (int_range 1 3) >>= fun ars ->
+  let gen_rel ar =
+    list_size (int_range 1 8) (list_repeat ar (int_range 0 4))
+  in
+  flatten_l (List.map gen_rel ars) >>= fun rows ->
+  let refs =
+    List.concat (List.mapi (fun i ar -> List.init ar (fun j -> (i + 1, j + 1))) ars)
+  in
+  list_size (int_range 1 4) (pair (oneofl refs) (oneofl refs)) >|= fun eqs ->
+  (ars, rows, eqs)
+
+let print_join_case (ars, rows, eqs) =
+  Fmt.str "arities %a rows %a equis %a"
+    Fmt.(Dump.list int) ars
+    Fmt.(Dump.list (Dump.list (Dump.list int))) rows
+    Fmt.(Dump.list (Dump.pair (Dump.pair int int) (Dump.pair int int))) eqs
+
+let test_executors_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"join executors: boxed and columnar enumerate the same combinations"
+       ~count:300 ~print:print_join_case gen_join_case
+       (fun (ars, rows, eqs) ->
+         let rels =
+           Array.of_list
+             (List.map2
+                (fun ar rs ->
+                  Relation.make
+                    (List.init ar (fun j -> (Fmt.str "C%d" j, Vtype.Int)))
+                    (List.map (List.map (fun v -> Value.Int v)) rs))
+                ars rows)
+         in
+         let q =
+           Lera.conj
+             (List.map
+                (fun ((i, j), (k, l)) -> Lera.eq (Lera.col i j) (Lera.col k l))
+                eqs)
+         in
+         let plan = Join_plan.analyze ~operands:(Array.length rels) q in
+         let count () =
+           let c = ref 0 in
+           ((fun () -> incr c), c)
+         in
+         let run execute =
+           let on_build, builds = count () and on_probe, probes = count () in
+           let combos = ref [] in
+           execute ~on_build ~on_probe (fun combo -> combos := combo :: !combos);
+           (List.sort (List.compare Relation.compare_tuples) !combos, !builds, !probes)
+         in
+         let tables =
+           Array.map (fun r -> Option.get (Relation.columns r)) rels
+         in
+         Join_plan.columnar_ok plan tables
+         && run (fun ~on_build ~on_probe yield ->
+                Join_plan.execute ~on_build ~on_probe plan rels yield)
+            = run (fun ~on_build ~on_probe yield ->
+                  Join_plan.execute_columnar ~on_build ~on_probe plan tables
+                    (fun rows ->
+                      yield
+                        (List.init (Array.length tables) (fun k ->
+                             Column.tuple_at tables.(k) rows.(k)))))))
 
 (* -- columnar activation and representation normalization ---------------- *)
 
@@ -286,7 +380,7 @@ let test_columnar_fires () =
         [ Lera.col 1 2; Lera.col 2 2 ] )
   in
   let check_fires name plan =
-    let _, s = run_columnar ~physical:Eval.Physical.Indexed db plan in
+    let _, s = run_indexed db plan in
     Alcotest.(check bool)
       (Fmt.str "%s: columnar_ops %d > 0" name s.Eval.columnar_ops)
       true
@@ -302,21 +396,14 @@ let test_columnar_fires () =
        ( Lera.Project (Lera.Base "APPEARS_IN", [ Lera.col 1 1 ]),
          Lera.Project (Lera.Base "FILM", [ Lera.col 1 1 ]) ));
   let tc_db = Fixtures.chain_db 12 in
-  let _, s = run_columnar ~physical:Eval.Physical.Indexed tc_db tc_fix in
+  let _, s = run_indexed tc_db tc_fix in
   Alcotest.(check bool)
     (Fmt.str "semi-naive closure: columnar_ops %d > 0" s.Eval.columnar_ops)
     true
     (s.Eval.columnar_ops > 0);
-  (* the switch really is a switch *)
-  let _, s0 =
-    let st = Eval.fresh_stats () in
-    ( Eval.run ~physical:Eval.Physical.Indexed ~columnar:false ~stats:st db join,
-      st )
-  in
-  Alcotest.(check int) "boxed run takes no columnar path" 0 s0.Eval.columnar_ops;
-  (* Naive is the boxed oracle: the flag must not reach it *)
+  (* Naive is the boxed oracle: it never takes a columnar path *)
   let sn = Eval.fresh_stats () in
-  ignore (Eval.run ~physical:Eval.Physical.Naive ~columnar:true ~stats:sn db join);
+  ignore (Eval.run ~physical:Eval.Physical.Naive ~stats:sn db join);
   Alcotest.(check int) "naive never goes columnar" 0 sn.Eval.columnar_ops
 
 (* mixed-flavor operands (Int column vs Real column) must fall back:
@@ -444,4 +531,6 @@ let suite =
       test_union_layout_normalized;
     Alcotest.test_case "relation caches race-free across threads" `Quick
       test_caches_race_free;
+    Alcotest.test_case "boxed twin has no columnar shadow" `Quick test_boxed_twin;
+    test_executors_agree;
   ]
