@@ -40,9 +40,11 @@ let work_markers =
     (* plan-cache misses may only shrink: each one is a full
        parse → translate → rewrite the cache failed to amortize *)
     "misses";
-    (* E5: snapshot reads are lock-free — committed at zero, so any
-       read-lock acquisition fails the gate; response mismatches against
-       the oracle replay likewise *)
+    (* E5: snapshot reads are lock-free — [read_lock_acquisitions] is
+       the exclusive-section entries beyond one per write and one per
+       plan-cache miss, committed at zero, so a cached SELECT entering
+       the section fails the gate; response mismatches against the
+       oracle replay likewise *)
     "read_lock";
     "mismatch";
     (* E7: allocation (kilowords per run) of the columnar/boxed hot

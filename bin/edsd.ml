@@ -1,10 +1,12 @@
 (* edsd — the EDS query server daemon.
 
    Serves the edsd wire protocol (see {!Eds_server.Protocol}) on a TCP
-   port: ESQL statements, edsql dot-directives and the uppercase server
-   commands (HELP / PING / STATS / METRICS / SAVE / QUIT).  Attach an
-   interactive shell with [edsql --connect HOST:PORT], or talk to it
-   with [nc].  Stops cleanly on SIGINT/SIGTERM.
+   port: ESQL statements, EXPLAIN and the uppercase server commands
+   (VERIFY RULES / HELP / PING / STATS / METRICS / SAVE / QUIT).  edsql
+   dot-directives are refused: rules, limits and the physical layer are
+   fixed when the daemon starts.  Attach an interactive shell with
+   [edsql --connect HOST:PORT], or talk to it with [nc].  Stops cleanly
+   on SIGINT/SIGTERM.
 
    With --db the daemon is durable: boot recovers the checkpoint dump
    plus the paired write-ahead log (FILE.wal), every committed write is

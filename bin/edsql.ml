@@ -31,14 +31,16 @@ let limits_arg =
 let connect_arg =
   Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
          ~doc:"Attach to a running edsd server instead of evaluating \
-               locally; every line is sent over the wire verbatim.")
+               locally; every line but .quit/.exit is sent over the wire \
+               verbatim (the server refuses other shell directives).")
 
 let db_arg =
   Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE"
          ~doc:"Load this database dump (written by .save) on boot.")
 
 (* the remote loop: the server already does per-line recovery, rendering
-   and prompt-less framing, so the client just shuttles lines *)
+   and prompt-less framing, so the client just shuttles lines.  The
+   server refuses shell directives, so .quit/.exit close locally. *)
 let remote_repl target =
   let host, port =
     match String.rindex_opt target ':' with
@@ -62,16 +64,15 @@ let remote_repl target =
     match In_channel.input_line stdin with
     | None -> Client.close client
     | Some line when String.trim line = "" -> loop ()
+    | Some line when List.mem (String.trim line) [ ".quit"; ".exit" ] ->
+      Client.close client
     | Some line -> (
       match Client.request client line with
       | Protocol.Ok, payload ->
         print_string payload;
         flush stdout;
-        let quit =
-          let t = String.uppercase_ascii (String.trim line) in
-          t = "QUIT" || t = ".QUIT"
-        in
-        if quit then Client.close client else loop ()
+        if String.uppercase_ascii (String.trim line) = "QUIT" then Client.close client
+        else loop ()
       | (Protocol.Error | Protocol.Busy), payload ->
         print_string payload;
         flush stdout;

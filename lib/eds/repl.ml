@@ -395,9 +395,8 @@ let protect ppf ~default f =
     Fmt.pf ppf "error: %s@." (describe_error e);
     default
 
-(* One dot-directive line, shared by the interactive loop and the query
-   server: [`Swap] is a successful [.load] handing back the restored
-   session. *)
+(* One dot-directive line: [`Swap] is a successful [.load] handing back
+   the restored session. *)
 let dispatch ppf session line =
   match handle_save_load ppf session line with
   | Some s' -> if s' == session then `Continue else `Swap s'

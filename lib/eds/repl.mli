@@ -51,18 +51,6 @@ val limits_config : int -> Session.Optimizer.config
 (** A config applying one limit to every rule block (negative =
     infinite), with a single round. *)
 
-val dispatch :
-  Format.formatter ->
-  Session.t ->
-  string ->
-  [ `Quit | `Continue | `Swap of Session.t ]
-(** Execute one dot-directive line (already trimmed, starting with
-    ['.']), printing its output to the formatter.  [`Swap] is a
-    successful [.load]: the caller must adopt the returned session.
-    Shared by the interactive loop and the query server; errors
-    propagate (the REPL and the server each wrap it in their own
-    per-line recovery). *)
-
 val verify_rules_text : Format.formatter -> Session.t -> string -> bool
 (** The gate behind [.verify] and the server's [VERIFY RULES]:
     differentially verify the pack text against the session's current

@@ -144,10 +144,4 @@ let sweep t stale =
         doomed;
       List.length doomed)
 
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.mru <- None;
-      t.lru <- None)
-
 let stats t = locked t (fun () -> { size = Hashtbl.length t.tbl; capacity = t.capacity })

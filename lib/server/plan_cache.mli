@@ -8,8 +8,7 @@
     ({!Eds_esql.Template.key}), so a repeated query — or one differing
     only in literals — skips rewriting, while any config/rule/DDL change
     orphans the stale entries; the planner removes those eagerly with
-    {!sweep} so they never squeeze live plans out of a full cache
-    ({!clear} exists for session swaps).
+    {!sweep} so they never squeeze live plans out of a full cache.
 
     Hit/miss accounting is one outcome per request: {!find} counts its
     own lookup, while a multi-step lookup (exact text, then template)
@@ -60,9 +59,6 @@ val sweep : 'a t -> (string -> bool) -> int
     generation bump so dead-generation entries stop occupying capacity
     (otherwise they would linger until they aged out of the LRU tail,
     evicting live plans from a full cache). *)
-
-val clear : 'a t -> unit
-(** Drop every entry (counters survive — they are cumulative). *)
 
 type stats = { size : int; capacity : int }
 

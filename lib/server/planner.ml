@@ -152,7 +152,7 @@ let remember t exact rel =
   Plan_cache.add t.cache exact (Exact rel);
   rel
 
-(* The miss section, run inside [exclusive]: the write lock keeps the
+(* The miss section, run inside [exclusive]: the server's mutex keeps the
    generation and catalog still, and double-checks catch a racing thread
    that planned this text or template while we waited. *)
 let plan_miss t ~text ~sel ~parse_s ~tmpl ~values phases =
@@ -235,4 +235,3 @@ let execute ?exclusive t text =
   (rel, r.origin)
 
 let cache_stats t = Plan_cache.stats t.cache
-let clear_cache t = Plan_cache.clear t.cache

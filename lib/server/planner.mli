@@ -33,7 +33,7 @@
     read lock: the only shared mutable state a SELECT touches is the
     catalog during planning of a cache {e miss}, which is why [plan] /
     [execute] accept an [exclusive] wrapper the server points at its
-    write lock. *)
+    exclusive section. *)
 
 module Session = Eds.Session
 
@@ -62,7 +62,7 @@ val plan :
     plan — both are [`Hit].  A miss must read the shared catalog to
     translate/rewrite, so only a request that really plans runs
     [exclusive] (default: run in place) — the server passes its
-    write-lock wrapper.  The section double-checks the cache on entry,
+    exclusive-section wrapper.  The section double-checks the cache on entry,
     so two threads racing on the same cold text or template plan it
     once.  Raises like {!Session.explain} (parse/type errors are never
     cached; a parse error raises without entering [exclusive]). *)
@@ -96,4 +96,3 @@ val execute_timed :
     server's slow-query log and latency histograms need. *)
 
 val cache_stats : t -> Plan_cache.stats
-val clear_cache : t -> unit

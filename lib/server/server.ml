@@ -37,7 +37,7 @@ let default_config =
    module init so the request path touches no registry lock — just an
    assoc lookup over a handful of pairs and an atomic increment. *)
 
-let verbs = [ "select"; "explain"; "write"; "directive"; "admin" ]
+let verbs = [ "select"; "explain"; "write"; "admin" ]
 let outcomes = [ "ok"; "error"; "timeout" ]
 
 let m_queries =
@@ -77,14 +77,20 @@ let m_conn_active =
 
 let m_slow = Metrics.counter ~help:"Queries over the slow-query threshold" "eds_slow_queries_total"
 
+let m_exclusive =
+  Metrics.counter ~help:"Entries into the server's exclusive (write) section"
+    "eds_write_lock_acquisitions_total"
+
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  rw : Rwlock.t;  (* writer: everything mutating.  SELECTs do not read-lock:
-                     they evaluate against an immutable snapshot *)
+  writer : Mutex.t;
+      (* the exclusive section: every mutation and every plan-cache
+         miss.  SELECTs take no lock: they evaluate against an immutable
+         snapshot *)
   wal : Wal.Manager.handle option;  (* durability; [None] = in-memory only *)
-  mutable planner : Planner.t;  (* swapped wholesale by [.load] *)
+  planner : Planner.t;
   state : Mutex.t;  (* guards everything below *)
   mutable active : int;  (* admission control; METRICS reads the gauge *)
   mutable stopping : bool;
@@ -95,9 +101,12 @@ type t = {
   mutable collector : Metrics.collector_id option;
 }
 
-let locked t f =
-  Mutex.lock t.state;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.state) f
+let locked t f = Mutex.protect t.state f
+
+let exclusive t f =
+  Mutex.protect t.writer (fun () ->
+      Metrics.Counter.incr m_exclusive;
+      f ())
 
 let resolve_addr host =
   try Unix.inet_addr_of_string host
@@ -112,7 +121,6 @@ let help_text =
   "edsd wire protocol — one request per line:\n\
   \  <ESQL statement>   SELECT / TABLE / CREATE / INSERT / DELETE /\n\
   \                     UPDATE / REFRESH (CREATE MATERIALIZED VIEW too)\n\
-  \  .<directive>       any edsql shell directive (.help lists them)\n\
   \  EXPLAIN [ANALYZE] SELECT ...   plan report; ANALYZE also executes\n\
   \  VERIFY RULES <rules>   differentially verify a rule pack; it is\n\
   \                     appended to block 'verified' only if clean\n\
@@ -125,7 +133,9 @@ let help_text =
   \  METRICS PROM       Prometheus text exposition of the metrics registry\n\
   \  SAVE <path>        dump the database to <path> on the server host\n\
   \  QUIT               close this connection\n\
-   responses are framed as \"<ok|error|busy> <nbytes>\\n<payload>\"\n"
+   lines are at most 1 MiB; edsql shell directives (.limits, .load, ...)\n\
+   are not accepted here.  Responses are framed as\n\
+   \"<ok|error|busy> <nbytes>\\n<payload>\"\n"
 
 let esql_starters =
   [
@@ -159,12 +169,11 @@ let render f =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let obs_query t conn_id ~cache ~ts =
+let obs_query conn_id ~cache ~ts =
   if Obs.enabled () then
     Obs.complete ~cat:"server"
       ~attrs:[ ("conn", Obs.Json.Int conn_id); ("cache", Obs.Json.Str cache) ]
-      "server.query" ~ts ~dur:(Obs.now () -. ts);
-  ignore t
+      "server.query" ~ts ~dur:(Obs.now () -. ts)
 
 (* -- slow-query log ------------------------------------------------- *)
 
@@ -223,33 +232,33 @@ let maybe_slow_log t conn_id ~query ~total_s ~cache ~parse_s ~translate_s ~rewri
 (* SELECTs take no lock at all: evaluation runs against an immutable
    database snapshot, and a cached plan skips the catalog entirely.
    Only a plan-cache miss needs the shared catalog (parse → translate →
-   rewrite), so exactly that section runs under the write lock, with a
+   rewrite), so only that step enters the exclusive section, with a
    double-check inside so racing threads plan a cold query once. *)
 let run_select t conn_id line =
   let ts = Obs.now () in
-  let planner = t.planner in
-  let exclusive f = Rwlock.with_write t.rw f in
-  let rel, r = with_budget t (fun () -> Planner.execute_timed ~exclusive planner line) in
+  let rel, r =
+    with_budget t (fun () -> Planner.execute_timed ~exclusive:(exclusive t) t.planner line)
+  in
   let payload = render (fun ppf -> Repl.print_result ppf (Session.Rows rel)) in
   let cache = match r.Planner.origin with `Hit -> "hit" | `Miss -> "miss" in
-  obs_query t conn_id ~cache ~ts;
+  obs_query conn_id ~cache ~ts;
   maybe_slow_log t conn_id ~query:line ~total_s:(Obs.now () -. ts) ~cache
     ~parse_s:r.Planner.parse_s ~translate_s:r.Planner.translate_s
     ~rewrite_s:r.Planner.rewrite_s ~exec_s:r.Planner.exec_s
     ~rows:(Relation.cardinality rel) ~work:r.Planner.work ();
   `Reply (Protocol.Ok, payload)
 
-(* Mutations serialize under the write lock.  Once a statement has
+(* Mutations serialize in the exclusive section.  Once a statement has
    applied successfully it is appended to the WAL — still inside the
-   lock, so the log order is the commit order — and only then
+   section, so the log order is the commit order — and only then
    acknowledged: a crash after the ack cannot lose it.  EXPLAIN comes
    through here too (it needs the shared catalog); its [Report] result
    is never WAL-logged — replaying an EXPLAIN ANALYZE at recovery would
    re-execute the query. *)
 let run_write t conn_id line =
   let ts = Obs.now () in
-  (* The WAL append happens inside the write lock (log order = commit
-     order), but the fsync wait happens after releasing it: concurrent
+  (* The WAL append happens inside the exclusive section (log order =
+     commit order), but the fsync wait happens after leaving it: concurrent
      writers then land their frames back-to-back and the group-commit
      leader makes them all durable with one fsync.  The ack still only
      goes out after [sync] returns. *)
@@ -259,7 +268,7 @@ let run_write t conn_id line =
       (m.maintenance_runs, m.fallback_recomputes, m.delta_tuples)
   in
   let payload, commit =
-    Rwlock.with_write t.rw (fun () ->
+    exclusive t (fun () ->
         let session = Planner.session t.planner in
         let result = with_budget t (fun () -> Session.exec_string session line) in
         let commit =
@@ -274,7 +283,7 @@ let run_write t conn_id line =
   (match commit with
   | Some (wal, watermark) -> Wal.Manager.sync wal watermark
   | None -> ());
-  obs_query t conn_id ~cache:"write" ~ts;
+  obs_query conn_id ~cache:"write" ~ts;
   let total_s = Obs.now () -. ts in
   let runs0, fb0, delta0 = mv0 in
   let m = Session.mv_stats (Planner.session t.planner) in
@@ -285,28 +294,6 @@ let run_write t conn_id line =
     ~mv_fallbacks:(m.Session.Materializer.fallback_recomputes - fb0)
     ~mv_delta:(m.Session.Materializer.delta_tuples - delta0) ();
   `Reply (Protocol.Ok, payload)
-
-let run_directive t line =
-  Rwlock.with_write t.rw (fun () ->
-      let session = Planner.session t.planner in
-      let buf = Buffer.create 256 in
-      let ppf = Format.formatter_of_buffer buf in
-      let verdict = Repl.dispatch ppf session line in
-      Format.pp_print_flush ppf ();
-      let payload = Buffer.contents buf in
-      match verdict with
-      | `Continue -> `Reply (Protocol.Ok, payload)
-      | `Quit -> `Close (Protocol.Ok, payload ^ "bye\n")
-      | `Swap session' ->
-          (* a fresh session: drop every cached plan with the old
-             planner, and re-checkpoint so recovery reflects the
-             swapped-in state rather than replaying a log written
-             against the old one *)
-          t.planner <- Planner.create ~capacity:t.cfg.cache_capacity session';
-          (match t.wal with
-          | Some wal -> Wal.Manager.checkpoint wal session'
-          | None -> ());
-          `Reply (Protocol.Ok, payload))
 
 (* -- the stats table -------------------------------------------------- *)
 
@@ -349,8 +336,8 @@ let table =
     ("server.queries.ok", "eds_queries_total", [ ("outcome", "ok") ]);
     ("server.queries.errors", "eds_queries_total", [ ("outcome", "error") ]);
     ("server.queries.timeouts", "eds_queries_total", [ ("outcome", "timeout") ]);
-    ("server.rwlock.read_acquired", "eds_rwlock_acquisitions_total", [ ("mode", "read") ]);
-    ("server.rwlock.write_acquired", "eds_rwlock_acquisitions_total", [ ("mode", "write") ]);
+    (* the key keeps its old name: perfbench reads it *)
+    ("server.rwlock.write_acquired", "eds_write_lock_acquisitions_total", []);
     ("server.plan_cache.hits", "eds_plan_cache_hits_total", []);
     ("server.plan_cache.misses", "eds_plan_cache_misses_total", []);
     ("server.plan_cache.evictions", "eds_plan_cache_evictions_total", []);
@@ -379,8 +366,8 @@ let hit_rate v =
   if hits +. misses = 0. then 0. else hits /. (hits +. misses)
 
 (* STATS/METRICS take no lock either: every ingredient is an atomic
-   registry cell or an O(1) snapshot read, and the loadgen verifier polls
-   METRICS while checking that SELECTs acquire zero read locks. *)
+   registry cell or an O(1) snapshot read, so polling them never counts
+   as an exclusive entry. *)
 let stats_text t =
   let v = metric t in
   let n key = int_of_float (v key) in
@@ -404,8 +391,8 @@ let stats_text t =
         (n "server.plan_cache.templates_custom");
       Fmt.pf ppf "plan generation  : %d@." (n "session.generation");
       Fmt.pf ppf "data generation  : %d@." (n "session.data_generation");
-      Fmt.pf ppf "rwlock           : %d read, %d write acquisitions@."
-        (n "server.rwlock.read_acquired") (n "server.rwlock.write_acquired");
+      Fmt.pf ppf "rwlock           : %d write acquisitions@."
+        (n "server.rwlock.write_acquired");
       (match t.wal with
       | None -> Fmt.pf ppf "wal              : disabled@."
       | Some wal ->
@@ -461,11 +448,12 @@ let metrics t =
 
 (* SAVE to the daemon's own database path is a checkpoint: the dump and
    the log truncation must be one atomic step relative to writers, so it
-   runs under the write lock.  SAVE elsewhere is a plain (atomic) dump. *)
+   runs in the exclusive section.  SAVE elsewhere is a plain (atomic)
+   dump. *)
 let run_save t path =
   if path = "" then `Reply (Protocol.Error, "error: usage: SAVE <path>\n")
   else
-    Rwlock.with_write t.rw (fun () ->
+    exclusive t (fun () ->
         let session = Planner.session t.planner in
         match t.wal with
         | Some wal when Wal.Manager.db_path wal = path ->
@@ -477,8 +465,8 @@ let run_save t path =
 
 (* VERIFY RULES gates an untrusted pack: the differential verifier runs
    against the session's current program and the pack is appended only
-   when clean.  It can mutate the rule program, so it takes the write
-   lock like any directive. *)
+   when clean.  It can mutate the rule program, so it runs in the
+   exclusive section like any write. *)
 let run_verify t line =
   let usage = "error: usage: VERIFY RULES <rule text>\n" in
   let rest = rest_after_token line in
@@ -488,7 +476,7 @@ let run_verify t line =
     let text = rest_after_token rest in
     if text = "" then `Reply (Protocol.Error, usage)
     else
-      Rwlock.with_write t.rw (fun () ->
+      exclusive t (fun () ->
           let session = Planner.session t.planner in
           let buf = Buffer.create 256 in
           let ppf = Format.formatter_of_buffer buf in
@@ -503,15 +491,21 @@ let run_verify t line =
    data generations, the WAL epoch and its record/byte counters are
    integrity markers and deliberately survive. *)
 let run_stats_reset t =
-  Rwlock.with_write t.rw (fun () ->
+  exclusive t (fun () ->
       Session.reset_stats (Planner.session t.planner);
       `Reply
         ( Protocol.Ok,
           "stats reset (generations, WAL integrity counters and active \
            connections preserved)\n" ))
 
+(* Rules, limits and the physical layer belong to whoever starts the
+   server, not to any one client: a shell directive would re-plan every
+   connection and would not survive recovery.  Refused before any lock. *)
+let directive_refused =
+  `Reply (Protocol.Error, "error: shell directives are edsql-only (try HELP)\n")
+
 let dispatch_line t conn_id line =
-  if line.[0] = '.' then run_directive t line
+  if line.[0] = '.' then directive_refused
   else
     let token = String.uppercase_ascii (first_token line) in
     if List.mem token esql_starters then
@@ -539,7 +533,7 @@ let dispatch_line t conn_id line =
           run_write t conn_id line
 
 let verb_of_line line =
-  if line.[0] = '.' then "directive"
+  if line.[0] = '.' then "admin"
   else
     match String.uppercase_ascii (first_token line) with
     | "SELECT" -> "select"
@@ -585,8 +579,12 @@ let process t conn_id raw =
 (* ------------------------------------------------------------------ *)
 (* connection lifecycle                                                *)
 
+let too_long =
+  Printf.sprintf "error: request line exceeds %d bytes; closing the connection\n"
+    Protocol.max_request_bytes
+
 let handle_connection t conn_id fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let requests = Protocol.reader fd in
   let oc = Unix.out_channel_of_descr fd in
   if Obs.enabled () then
     Obs.emit
@@ -616,10 +614,13 @@ let handle_connection t conn_id fd =
   in
   Fun.protect ~finally (fun () ->
       let rec loop () =
-        match input_line ic with
-        | exception (End_of_file | Sys_error _) -> ()
+        match Protocol.read_request requests with
         | exception Unix.Unix_error _ -> ()
-        | raw -> (
+        | `Eof -> ()
+        | `Too_long ->
+            Metrics.Counter.incr (query_counter "admin" "error");
+            (try Protocol.write_response oc Protocol.Error too_long with _ -> ())
+        | `Line raw -> (
             match process t conn_id raw with
             | `Reply (status, payload) -> (
                 match Protocol.write_response oc status payload with
@@ -688,7 +689,7 @@ let start ?(config = default_config) ?wal session =
         cfg = config;
         listen_fd = fd;
         bound_port;
-        rw = Rwlock.create ();
+        writer = Mutex.create ();
         wal;
         planner = Planner.create ~capacity:config.cache_capacity session;
         state = Mutex.create ();
@@ -714,7 +715,7 @@ let session t = Planner.session t.planner
 let wal t = t.wal
 
 let checkpoint t =
-  Rwlock.with_write t.rw (fun () ->
+  exclusive t (fun () ->
       match t.wal with
       | Some wal -> Wal.Manager.checkpoint wal (Planner.session t.planner)
       | None -> ())
@@ -741,7 +742,7 @@ let stop t =
      with _ -> ());
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_fd with _ -> ());
-    (* sever live connections: their blocked [input_line] sees EOF *)
+    (* sever live connections: their blocked read sees EOF *)
     let fds = locked t (fun () -> Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns []) in
     List.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()) fds;
     let threads = locked t (fun () -> t.conn_threads) in

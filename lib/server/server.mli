@@ -5,19 +5,21 @@
     {!Plan_cache} (via {!Planner}) and evaluate {e without any lock}
     against an immutable copy-on-write database snapshot
     ({!Eds.Session.snapshot_db}); only a plan-cache miss — which must
-    read the shared catalog — briefly takes the write lock, with a
-    double-check so racing threads plan a cold query once.  Every
-    mutating statement and [.directive] runs exclusively under the
-    write side; under WAL-backed durability ({!start}'s [wal]) each
-    committed DML/DDL statement is appended and fsync'd before it is
-    acknowledged.  Each statement gets a wall-clock budget enforced
+    read the shared catalog — briefly enters the server's one exclusive
+    section (a mutex), with a double-check so racing threads plan a cold
+    query once.  Every mutating statement, [SAVE], [VERIFY RULES] and
+    [STATS RESET] runs in that section too; under WAL-backed durability
+    ({!start}'s [wal]) each committed DML/DDL statement is appended and
+    fsync'd before it is acknowledged.  Each statement gets a wall-clock budget enforced
     cooperatively by {!Eds_engine.Cancel}: an overrunning query dies
     with an [error] response, the connection survives.
 
     Admission control: at most [max_connections] connections are served
     at once; beyond that, [backlog] connections queue in the kernel and
     each one popped over the cap is refused with a one-shot [busy]
-    response.  See {!Protocol} for the wire format. *)
+    response.  See {!Protocol} for the wire format and its fixed command
+    set: edsql shell directives are refused, so rules, limits and the
+    physical layer stay what the process that started the server set. *)
 
 module Session = Eds.Session
 module Wal = Eds.Wal
@@ -49,21 +51,21 @@ val start : ?config:config -> ?wal:Wal.Manager.handle -> Session.t -> t
     session must not be used by the caller concurrently with the
     running server (hand it over).  [wal] (from
     {!Wal.Manager.recover}) turns on durability: committed writes are
-    logged-then-acknowledged, [SAVE <db-path>] checkpoints and resets
-    the log, and a [.load] over the wire re-checkpoints so recovery
-    reflects the swapped-in session. *)
+    logged-then-acknowledged, and [SAVE <db-path>] checkpoints and
+    resets the log. *)
 
 val port : t -> int
 (** The actually-bound port (useful with [port = 0]). *)
 
 val config : t -> config
 val session : t -> Session.t
-(** The session currently served — [.load] over the wire swaps it. *)
+(** The session handed to {!start}; the server serves it for its whole
+    life. *)
 
 val wal : t -> Wal.Manager.handle option
 
 val checkpoint : t -> unit
-(** Checkpoint under the write lock (no-op without a WAL) — the clean
+(** Checkpoint in the exclusive section (no-op without a WAL) — the clean
     path for a daemon shutting down, so restart replays nothing. *)
 
 (** {1 Telemetry}

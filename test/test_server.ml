@@ -1,7 +1,7 @@
-(* Tests for the concurrent query server: the readers-writer lock, the
-   LRU plan cache, the cache-keyed planner (generation invalidation),
-   the wire protocol, per-query timeouts, admission control and the
-   load-test harness. *)
+(* Tests for the concurrent query server: the LRU plan cache, the
+   cache-keyed planner (generation invalidation), the wire protocol and
+   its closed command set, per-query timeouts, admission control and
+   the load-test harness. *)
 
 module Value = Eds_value.Value
 module Relation = Eds_engine.Relation
@@ -12,7 +12,6 @@ module Session = Eds.Session
 module Repl = Eds.Repl
 module Storage = Eds.Storage
 module Wal = Eds.Wal
-module Rwlock = Eds_server.Rwlock
 module Plan_cache = Eds_server.Plan_cache
 module Planner = Eds_server.Planner
 module Server = Eds_server.Server
@@ -24,9 +23,9 @@ let total = Test_metrics.total
 
 (* [name]'s registry growth since this call (process-wide cells: other
    cases share them, so tests read differences) *)
-let growth name =
-  let n0 = total name in
-  fun () -> total name - n0
+let growth ?labels name =
+  let n0 = total ?labels name in
+  fun () -> total ?labels name - n0
 
 (* [key]'s growth since this call, read through the server's table *)
 let since srv key =
@@ -37,66 +36,6 @@ let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec probe i = i + n <= m && (String.sub s i n = affix || probe (i + 1)) in
   n = 0 || probe 0
-
-(* -- rwlock -------------------------------------------------------------- *)
-
-let test_rwlock_readers_share () =
-  let rw = Rwlock.create () in
-  let inside = Atomic.make 0 in
-  let seen_two = Atomic.make false in
-  let reader () =
-    Rwlock.with_read rw (fun () ->
-        Atomic.incr inside;
-        let t0 = Unix.gettimeofday () in
-        while Atomic.get inside < 2 && Unix.gettimeofday () -. t0 < 2.0 do
-          Thread.yield ()
-        done;
-        if Atomic.get inside >= 2 then Atomic.set seen_two true;
-        Atomic.decr inside)
-  in
-  let t1 = Thread.create reader () in
-  let t2 = Thread.create reader () in
-  Thread.join t1;
-  Thread.join t2;
-  Alcotest.(check bool) "two readers held the lock at once" true
-    (Atomic.get seen_two)
-
-let test_rwlock_writers_exclude () =
-  let rw = Rwlock.create () in
-  let counter = ref 0 in
-  let writer () =
-    for _ = 1 to 5_000 do
-      (* unsynchronized incr: only exclusive writers make this exact *)
-      Rwlock.with_write rw (fun () -> incr counter)
-    done
-  in
-  let threads = List.init 4 (fun _ -> Thread.create writer ()) in
-  List.iter Thread.join threads;
-  Alcotest.(check int) "every write-locked increment survived" 20_000 !counter
-
-let test_rwlock_readers_see_invariant () =
-  let rw = Rwlock.create () in
-  let a = ref 0 and b = ref 0 in
-  let broken = Atomic.make false in
-  let writer () =
-    for i = 1 to 2_000 do
-      Rwlock.with_write rw (fun () ->
-          a := i;
-          Thread.yield ();
-          b := i)
-    done
-  in
-  let reader () =
-    for _ = 1 to 2_000 do
-      Rwlock.with_read rw (fun () -> if !a <> !b then Atomic.set broken true)
-    done
-  in
-  let w = Thread.create writer () in
-  let rs = List.init 3 (fun _ -> Thread.create reader ()) in
-  Thread.join w;
-  List.iter Thread.join rs;
-  Alcotest.(check bool) "readers never saw a half-applied write" false
-    (Atomic.get broken)
 
 (* -- plan cache ---------------------------------------------------------- *)
 
@@ -118,10 +57,7 @@ let test_plan_cache_lru () =
   Alcotest.(check int) "evictions" 1 (evictions ());
   Alcotest.(check int) "hits" 3 (hits ());
   Alcotest.(check int) "misses" 1 (misses ());
-  Alcotest.(check int) "size bounded" 2 (Plan_cache.stats c).Plan_cache.size;
-  Plan_cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Plan_cache.stats c).Plan_cache.size;
-  Alcotest.(check (option int)) "miss after clear" None (Plan_cache.find c "a")
+  Alcotest.(check int) "size bounded" 2 (Plan_cache.stats c).Plan_cache.size
 
 let test_plan_cache_overwrite () =
   let c = Plan_cache.create ~capacity:2 in
@@ -423,11 +359,6 @@ let test_wire_cache_and_invalidation () =
           Alcotest.check status "ddl ok" Protocol.Ok st;
           ignore (Client.request c "SELECT A FROM P");
           Alcotest.(check int) "post-DDL select misses" 2 (misses ());
-          (* a config directive does too *)
-          let st, _ = Client.request c ".limits 5" in
-          Alcotest.check status "directive ok" Protocol.Ok st;
-          ignore (Client.request c "SELECT A FROM P");
-          Alcotest.(check int) "post-.limits select misses" 3 (misses ());
           ignore (Client.request c "SELECT A FROM P");
           Alcotest.(check int) "then hits again" 2 (hits ())))
 
@@ -799,8 +730,8 @@ let test_loadtest_concurrent_bit_identical () =
   Loadtest.apply_setup twin;
   let expected = Loadtest.expected_payloads twin in
   with_server s (fun srv ->
-      let reads = since srv "server.rwlock.read_acquired" in
-      let writes = since srv "server.rwlock.write_acquired" in
+      let entries = since srv "server.rwlock.write_acquired" in
+      let misses = since srv "server.plan_cache.misses" in
       let o =
         Loadtest.run ~expected ~port:(Server.port srv) ~clients:16 ~per_client:12 ()
       in
@@ -814,11 +745,12 @@ let test_loadtest_concurrent_bit_identical () =
         (Fmt.str "plan-cache hit rate %.2f > 0.5" o.Loadtest.hit_rate)
         true
         (o.Loadtest.hit_rate > 0.5);
-      (* the acceptance criterion: SELECTs never touch the read lock —
-         they evaluate against snapshots; only plan-cache misses took
-         the write side *)
-      Alcotest.(check int) "zero read-lock acquisitions" 0 (reads ());
-      Alcotest.(check bool) "misses planned under the write lock" true (writes () > 0))
+      (* the acceptance criterion: SELECTs evaluate against snapshots
+         without a lock; on this read-only load only plan-cache misses
+         entered the exclusive section, one entry each *)
+      Alcotest.(check bool) "some misses planned" true (misses () > 0);
+      Alcotest.(check int) "exclusive entries = plan-cache misses" (misses ())
+        (entries ()))
 
 let test_loadtest_mixed_verified () =
   let s = Session.create () in
@@ -827,7 +759,9 @@ let test_loadtest_mixed_verified () =
   Loadtest.apply_setup twin;
   let expected = Loadtest.expected_payloads twin in
   with_server s (fun srv ->
-      let reads = since srv "server.rwlock.read_acquired" in
+      let entries = since srv "server.rwlock.write_acquired" in
+      let misses = since srv "server.plan_cache.misses" in
+      let writes = growth ~labels:[ ("verb", "write") ] "eds_queries_total" in
       let o =
         Loadtest.run_mixed ~expected ~port:(Server.port srv) ~clients:8
           ~per_client:20 ()
@@ -840,13 +774,21 @@ let test_loadtest_mixed_verified () =
       Alcotest.(check bool)
         "every response — write acks included — matches the oracle" true
         o.Loadtest.bit_identical;
-      Alcotest.(check int) "snapshot reads acquired zero read locks" 0 (reads ()))
+      (* snapshot reads are lock-free: every exclusive entry is a write
+         request's or a plan-cache miss's *)
+      Alcotest.(check int) "exclusive entries = write requests + misses"
+        (writes () + misses ()) (entries ()))
 
 (* VERIFY RULES gates an untrusted pack over the wire: a sound pack is
    appended to block "verified", an unsound one is rejected with the
    counterexample report and leaves the program untouched (ISSUE 10) *)
 let test_wire_verify_rules () =
   with_server (Session.create ()) (fun srv ->
+      let has_verified_block () =
+        List.exists
+          (fun b -> b.Eds_rewriter.Rule.block_name = "verified")
+          (Session.program (Server.session srv)).Eds_rewriter.Rule.blocks
+      in
       with_client srv (fun c ->
           let st, payload = Client.request c "VERIFY NONSENSE" in
           Alcotest.check status "usage error" Protocol.Error st;
@@ -860,8 +802,7 @@ let test_wire_verify_rules () =
             (contains ~affix:"bad" payload);
           Alcotest.(check bool) "counterexample shown" true
             (contains ~affix:"counterexample" payload);
-          let st, _ = Client.request c ".rules" in
-          Alcotest.check status "program intact" Protocol.Ok st;
+          Alcotest.(check bool) "program intact" false (has_verified_block ());
           let st, payload =
             Client.request c
               "VERIFY RULES good: filter(filter(r, f), g) --> filter(r, \
@@ -870,10 +811,7 @@ let test_wire_verify_rules () =
           Alcotest.check status "sound pack accepted" Protocol.Ok st;
           Alcotest.(check bool) "acceptance reported" true
             (contains ~affix:"pack accepted" payload);
-          let st, payload = Client.request c ".rules" in
-          Alcotest.check status "rules listed" Protocol.Ok st;
-          Alcotest.(check bool) "block verified present" true
-            (contains ~affix:"verified" payload)))
+          Alcotest.(check bool) "block verified present" true (has_verified_block ())))
 
 (* perfbench reads these through METRICS and METRICS PROM differences,
    and reads a missing key as 0: a renamed key would silently zero a
@@ -897,8 +835,8 @@ let test_wire_perfbench_keys () =
                           Eds_obs.Obs.Json.to_int)))
                 [
                   "server.plan_cache.hits"; "server.plan_cache.misses";
-                  "server.plan_cache.evictions"; "server.rwlock.read_acquired";
-                  "server.rwlock.write_acquired"; "session.mviews.maintenance_runs";
+                  "server.plan_cache.evictions"; "server.rwlock.write_acquired";
+                  "session.mviews.maintenance_runs";
                   "session.mviews.fallback_recomputes"; "session.mviews.delta_tuples";
                   "session.fix_cache.invalidations"; "wal.fsyncs"; "wal.commits";
                   "wal.bytes";
@@ -975,12 +913,97 @@ let test_no_lost_update () =
           Alcotest.(check int) "METRICS server.queries.ok" (k * n) (m1 - m0 - 2);
           Alcotest.(check int) "STATS requests ok" (k * n) (s1 - s0 - 2)))
 
+(* One client sending an endless line must not make the daemon buffer
+   it: past 1 MiB the request gets an error frame and its connection is
+   closed, and the server keeps serving others. *)
+let test_wire_request_line_cap () =
+  with_server (Session.create ()) (fun srv ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+          (* the send blocks once the server stops reading, and fails
+             when it closes: write from a thread, read the reply here *)
+          let sender =
+            Thread.create
+              (fun () ->
+                let oc = Unix.out_channel_of_descr fd in
+                try Protocol.send_request oc (String.make (2 lsl 20) 'x') with _ -> ())
+              ()
+          in
+          let ic = Unix.in_channel_of_descr fd in
+          (match Protocol.read_response ic with
+          | Some (st, payload) ->
+              Alcotest.check status "over-long line refused" Protocol.Error st;
+              Alcotest.(check bool) "reply names the cap" true
+                (contains ~affix:(string_of_int Protocol.max_request_bytes) payload)
+          | None -> Alcotest.fail "connection closed without a reply");
+          Alcotest.(check bool) "connection closed after the reply" true
+            (match Protocol.read_response ic with
+            | None -> true
+            | exception Sys_error _ -> true
+            | Some _ -> false);
+          Thread.join sender);
+      with_client srv (fun c ->
+          Alcotest.(check (pair status string)) "a fresh connection is served"
+            (Protocol.Ok, "pong\n") (Client.request c "PING")))
+
+(* Rules, limits and the physical layer belong to whoever started the
+   server: every shell directive is refused, the connection stays live,
+   and neither the session nor the file system changes. *)
+let test_wire_directives_refused () =
+  let session = planner_session () in
+  let dump = Filename.temp_file "eds_srv_dump" ".esql" in
+  Storage.save (planner_session ()) dump;
+  let absent () =
+    let p = Filename.temp_file "eds_srv_directive" ".out" in
+    Sys.remove p;
+    p
+  in
+  let saved = absent () and traced = absent () and pack = absent () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ dump; saved; traced; pack ])
+    (fun () ->
+      with_server session (fun srv ->
+          let program () = Fmt.str "%a" Eds_rewriter.Rule.pp_program (Session.program session) in
+          let gen0 = Session.generation session in
+          let physical0 = Session.physical session in
+          let program0 = program () in
+          with_client srv (fun c ->
+              List.iter
+                (fun line ->
+                  let st, payload = Client.request c line in
+                  Alcotest.check status ("refused: " ^ line) Protocol.Error st;
+                  Alcotest.(check bool) ("says why: " ^ line) true
+                    (contains ~affix:"edsql-only" payload);
+                  Alcotest.(check (pair status string)) ("live after " ^ line)
+                    (Protocol.Ok, "pong\n") (Client.request c "PING"))
+                [
+                  ".physical naive";
+                  ".limits 0";
+                  ".norewrite";
+                  ".constraint F(x) / ISA(x, Color) --> F(x) AND member(x, {'Red'})";
+                  ".rules";
+                  ".load " ^ dump;
+                  ".save " ^ saved;
+                  ".trace-file " ^ traced;
+                  ".verify " ^ pack;
+                ]);
+          Alcotest.(check bool) "same session served" true (Server.session srv == session);
+          Alcotest.(check int) "plan generation unchanged" gen0 (Session.generation session);
+          Alcotest.(check bool) "physical layer unchanged" true
+            (Session.physical session = physical0);
+          Alcotest.(check string) "rule program unchanged" program0 (program ()));
+      List.iter
+        (fun p -> Alcotest.(check bool) ("no file at " ^ p) false (Sys.file_exists p))
+        [ saved; traced; pack ])
+
 let suite =
   [
-    Alcotest.test_case "rwlock: readers share" `Quick test_rwlock_readers_share;
-    Alcotest.test_case "rwlock: writers exclude" `Quick test_rwlock_writers_exclude;
-    Alcotest.test_case "rwlock: readers see invariant" `Quick
-      test_rwlock_readers_see_invariant;
     Alcotest.test_case "plan cache: LRU eviction" `Quick test_plan_cache_lru;
     Alcotest.test_case "plan cache: overwrite" `Quick test_plan_cache_overwrite;
     Alcotest.test_case "planner: normalize" `Quick test_normalize;
@@ -1038,4 +1061,8 @@ let suite =
       test_wire_perfbench_keys;
     Alcotest.test_case "registry loses no update under concurrent clients" `Quick
       test_no_lost_update;
+    Alcotest.test_case "wire: over-long request line is refused" `Quick
+      test_wire_request_line_cap;
+    Alcotest.test_case "wire: shell directives are refused" `Quick
+      test_wire_directives_refused;
   ]

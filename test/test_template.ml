@@ -579,9 +579,7 @@ let test_stats_metrics_match_prom () =
                     "server.plan_cache.templates_custom" ] );
               ("plan generation", [ Some "session.generation" ]);
               ("data generation", [ Some "session.data_generation" ]);
-              ( "rwlock",
-                List.map Option.some
-                  [ "server.rwlock.read_acquired"; "server.rwlock.write_acquired" ] );
+              ("rwlock", [ Some "server.rwlock.write_acquired" ]);
               ("statements run", [ Some "session.statements_run" ]);
               ("eval combinations", [ Some "session.eval.combinations" ]);
               ("tuples read", [ Some "session.eval.tuples_read" ]);
