@@ -47,8 +47,8 @@ let work_markers =
        oracle replay likewise *)
     "read_lock";
     "mismatch";
-    (* E7: allocation (kilowords per run) of the columnar/boxed hot
-       loops — allocation is deterministic for a seeded workload, so a
+    (* E7: allocation (kilowords per run) of the join executor's typed
+       hot loops — allocation is deterministic for a seeded workload, so a
        growth means a chunked loop started boxing per tuple again *)
     "alloc";
   ]

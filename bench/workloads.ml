@@ -223,9 +223,8 @@ let chain_join_query =
    cardinality, so the greedy join order cannot pick a small driver:
    R→S fans out by ~[fan] (J ranges over size/fan groups) and T keeps
    only 1 in 64 of the fanned tuples (its keys are the multiples of
-   64).  The columnar executor streams the fat R⋈S middle through the
-   T probe without ever materialising it; the boxed executor builds the
-   whole intermediate combination list. *)
+   64).  The join executor streams the fat R⋈S middle through the T
+   probe without ever materialising it. *)
 let fat_chain_db ~size ~fan =
   let db = Database.create () in
   let rng = make_rng 31415 in
@@ -244,82 +243,41 @@ let fat_chain_db ~size ~fan =
 
 let fat_chain_query = chain_join_query
 
-(* -- E7: the two join executors on one plan ------------------------------- *)
+(* -- E7: the join executor on one plan ------------------------------------ *)
 
 (* A Search over base relations, taken apart the way the Indexed layer
-   of Eval hands it to a join executor: operands, equi-join plan,
-   residual and projection.  [boxed] runs {!Join_plan.execute} and
-   [columnar] {!Join_plan.execute_columnar}, each with the residual test
-   and projection Eval applies, and both return the unordered output
-   tuples.  They count into [stats] what Eval counts: one [combinations]
-   per equi-matched combination, plus the executor's [probes] and
-   [builds].  [columnar] is [None] when Eval would fall back to boxed:
-   an operand without a shadow, mismatched key flavors or a residual
-   that does not compile. *)
-type executors = {
-  boxed : Eval.stats -> Relation.tuple list;
-  columnar : (Eval.stats -> Relation.tuple list) option;
+   of Eval hands it to {!Join_plan.execute}: [tables] are the operands'
+   columnar shadows and [run tables stats] joins those columns (or any
+   other view of the same cells) and projects, counting into [stats]
+   what Eval counts — one [combinations] per equi-matched combination,
+   plus the executor's [probes] and [builds] — and returns the
+   unordered output tuples. *)
+type join = {
+  plan : Join_plan.t;
+  tables : Column.table array;
+  run : Column.table array -> Eval.stats -> Relation.tuple list;
 }
 
-let join_executors db (q : Lera.rel) =
+let join_executor db (q : Lera.rel) =
   let rs, qual, ps =
     match q with
     | Lera.Search (rs, qual, ps) -> (rs, qual, ps)
-    | _ -> invalid_arg "join_executors: not a Search"
+    | _ -> invalid_arg "join_executor: not a Search"
   in
-  let rels =
-    Array.of_list
-      (List.map
-         (function
-           | Lera.Base n -> Database.relation db n
-           | _ -> invalid_arg "join_executors: operand is not a base relation")
-         rs)
+  let base = function
+    | Lera.Base n -> Relation.columns (Database.relation db n)
+    | _ -> invalid_arg "join_executor: operand is not a base relation"
   in
-  let plan = Join_plan.analyze ~operands:(Array.length rels) qual in
-  let residual = Join_plan.residual plan in
-  let project combo = List.map (fun p -> Expr_eval.eval db ~inputs:combo p) ps in
-  let run (s : Eval.stats) execute keep =
+  let tables = Array.of_list (List.map base rs) in
+  let plan = Join_plan.analyze ~operands:(Array.length tables) qual in
+  let run tables (s : Eval.stats) =
     let out = ref [] in
-    execute
+    Join_plan.execute db
       ~on_build:(fun () -> s.Eval.builds <- s.Eval.builds + 1)
       ~on_probe:(fun () -> s.Eval.probes <- s.Eval.probes + 1)
-      (fun combo ->
-        s.Eval.combinations <- s.Eval.combinations + 1;
-        match keep combo with Some t -> out := t :: !out | None -> ());
+      ~on_combination:(fun () -> s.Eval.combinations <- s.Eval.combinations + 1)
+      plan tables
+      (fun combo -> out := List.map (fun p -> Expr_eval.eval db ~inputs:combo p) ps :: !out);
     !out
   in
-  let boxed s =
-    run s (fun ~on_build ~on_probe -> Join_plan.execute ~on_build ~on_probe plan rels)
-      (fun combo ->
-        if Expr_eval.eval_bool db ~inputs:combo residual then Some (project combo)
-        else None)
-  in
-  let columnar =
-    match Array.map Relation.columns rels with
-    | tables when Array.exists Option.is_none tables -> None
-    | tables -> (
-      let tables = Array.map Option.get tables in
-      let test =
-        if not (Join_plan.columnar_ok plan tables) then None
-        else
-          match Column.Pred.compile ~adts:(Database.adts db) tables residual with
-          | Column.Pred.Opaque -> None
-          | Column.Pred.Always -> Some (fun _ -> true)
-          | Column.Pred.Rows p -> Some p
-      in
-      match test with
-      | None -> None
-      | Some test ->
-        let n = Array.length tables in
-        Some
-          (fun s ->
-            run s
-              (fun ~on_build ~on_probe ->
-                Join_plan.execute_columnar ~on_build ~on_probe plan tables)
-              (fun rows ->
-                if test rows then
-                  Some
-                    (project (List.init n (fun k -> Column.tuple_at tables.(k) rows.(k))))
-                else None)))
-  in
-  { boxed; columnar }
+  { plan; tables; run }

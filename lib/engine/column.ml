@@ -2,10 +2,11 @@
    over it: a flat chained hash index (join build/probe, whole-row
    membership) and a compiler from LERA scalar predicates to
    allocation-free row predicates.  See column.mli for the contract;
-   the invariant that matters throughout is *flavor purity*: a column
-   holds exactly one Value constructor, so cell comparisons reduce to
-   Int.compare / Float.compare / String.compare — the same result
-   Value.compare gives on those constructor pairs. *)
+   the invariant that matters throughout is *flavor purity*: a typed
+   column holds exactly one Value constructor, so cell comparisons
+   reduce to Int.compare / Float.compare / String.compare — the same
+   result Value.compare gives on those constructor pairs.  Every other
+   column is a [Values] column, compared by Value.compare itself. *)
 
 module Value = Eds_value.Value
 module Intern = Eds_value.Intern
@@ -22,8 +23,9 @@ type col =
          label), so an Enums column compares/hashes against an Ids
          column by id exactly like Ids vs Ids *)
   | Floats of float array
+  | Values of Value.t array
 
-type flavor = F_int | F_oid | F_id | F_float
+type flavor = F_int | F_oid | F_id | F_float | F_values
 
 type table = {
   nrows : int;
@@ -35,69 +37,76 @@ let flavor = function
   | Oids _ -> F_oid
   | Ids _ | Enums _ -> F_id
   | Floats _ -> F_float
+  | Values _ -> F_values
 
 let flavors_equal a b =
   Array.length a.cols = Array.length b.cols
   && Array.for_all2 (fun ca cb -> flavor ca = flavor cb) a.cols b.cols
 
-(* -- building from boxed tuples ------------------------------------------- *)
-
-exception Bail
-
-let of_tuples ~arity nrows tuples =
-  if arity = 0 || nrows = 0 then None
-  else
-    match tuples with
-    | [] -> None
-    | first :: _ -> (
-      try
-        let cols =
-          Array.of_list
-            (List.map
-               (function
-                 | Value.Int _ -> Ints (Array.make nrows 0)
-                 | Value.Oid _ -> Oids (Array.make nrows 0)
-                 | Value.Str _ -> Ids (Array.make nrows 0)
-                 | Value.Enum (ty, _) -> Enums (ty, Array.make nrows 0)
-                 | Value.Real _ -> Floats (Array.make nrows 0.)
-                 | Value.Null | Value.Bool _ | Value.Tuple _
-                 | Value.Set _ | Value.Bag _ | Value.List _ | Value.Array _ ->
-                   raise Bail)
-               first)
-        in
-        if Array.length cols <> arity then raise Bail;
-        let r = ref 0 in
-        List.iter
-          (fun tup ->
-            let i = !r in
-            List.iteri
-              (fun j v ->
-                match cols.(j), v with
-                | Ints a, Value.Int x -> a.(i) <- x
-                | Oids a, Value.Oid x -> a.(i) <- x
-                | Ids a, Value.Str s -> a.(i) <- Intern.id_of_string s
-                | Enums (ty, a), Value.Enum (ty', l) when ty' = ty ->
-                  a.(i) <- Intern.id_of_string l
-                | Floats a, Value.Real x -> a.(i) <- x
-                | (Ints _ | Oids _ | Ids _ | Enums _ | Floats _), _ -> raise Bail)
-              tup;
-            incr r)
-          tuples;
-        Some { nrows; cols }
-      with Bail -> None)
-
 (* -- materializing back to boxed values ------------------------------------ *)
 
-let value_at t ~row ~col =
-  match t.cols.(col) with
+let cell c row =
+  match c with
   | Ints a -> Value.Int a.(row)
   | Oids a -> Value.Oid a.(row)
   | Ids a -> Value.Str (Intern.string_of_id a.(row))
   | Enums (ty, a) -> Value.Enum (ty, Intern.string_of_id a.(row))
   | Floats a -> Value.Real a.(row)
+  | Values a -> a.(row)
+
+let value_at t ~row ~col = cell t.cols.(col) row
 
 let tuple_at t row =
   List.init (Array.length t.cols) (fun col -> value_at t ~row ~col)
+
+let values ~nrows = function
+  | Values _ as c -> c
+  | c -> Values (Array.init nrows (cell c))
+
+(* -- building from boxed tuples ------------------------------------------- *)
+
+(* the column a first cell opens: typed for the five scalar
+   constructors, [Values] for everything else *)
+let column_for nrows = function
+  | Value.Int _ -> Ints (Array.make nrows 0)
+  | Value.Oid _ -> Oids (Array.make nrows 0)
+  | Value.Str _ -> Ids (Array.make nrows 0)
+  | Value.Enum (ty, _) -> Enums (ty, Array.make nrows 0)
+  | Value.Real _ -> Floats (Array.make nrows 0.)
+  | Value.Null | Value.Bool _ | Value.Tuple _ | Value.Set _ | Value.Bag _
+  | Value.List _ | Value.Array _ ->
+    Values (Array.make nrows Value.Null)
+
+let of_tuples ~arity nrows tuples =
+  let cols =
+    match tuples with
+    | [] -> Array.make arity (Values [||])
+    | first :: _ -> Array.of_list (List.map (column_for nrows) first)
+  in
+  List.iteri
+    (fun i tup ->
+      List.iteri
+        (fun j v ->
+          match cols.(j), v with
+          | Ints a, Value.Int x -> a.(i) <- x
+          | Oids a, Value.Oid x -> a.(i) <- x
+          | Ids a, Value.Str s -> a.(i) <- Intern.id_of_string s
+          | Enums (ty, a), Value.Enum (ty', l) when ty' = ty ->
+            a.(i) <- Intern.id_of_string l
+          | Floats a, Value.Real x -> a.(i) <- x
+          | Values a, v -> a.(i) <- v
+          | (Ints _ | Oids _ | Ids _ | Enums _ | Floats _), v ->
+            (* a second constructor in a typed column: the column
+               becomes [Values], keeping the rows already read *)
+            let a = Array.make nrows Value.Null in
+            for r = 0 to i - 1 do
+              a.(r) <- cell cols.(j) r
+            done;
+            a.(i) <- v;
+            cols.(j) <- Values a)
+        tup)
+    tuples;
+  { nrows; cols }
 
 (* -- cell comparison ------------------------------------------------------- *)
 
@@ -108,7 +117,8 @@ let cell_equal ca i cb j =
      and both carry interned label ids *)
   | (Ids a | Enums (_, a)), (Ids b | Enums (_, b)) -> a.(i) = b.(j)
   | Floats a, Floats b -> Float.compare a.(i) b.(j) = 0
-  | (Ints _ | Oids _ | Ids _ | Enums _ | Floats _), _ -> false
+  | Values a, Values b -> Value.compare a.(i) b.(j) = 0
+  | (Ints _ | Oids _ | Ids _ | Enums _ | Floats _ | Values _), _ -> false
 
 (* Packed int for hashing only (equality always goes through
    [cell_equal]): equal cells must pack equally, so -0. is normalized
@@ -123,6 +133,7 @@ let cell_key c i =
   match c with
   | Ints a | Oids a | Ids a | Enums (_, a) -> a.(i)
   | Floats a -> float_key a.(i)
+  | Values a -> Value.hash a.(i)
 
 (* -- flat chained hash index ----------------------------------------------- *)
 
@@ -161,9 +172,7 @@ module Index = struct
     done;
     !b
 
-  let build ?on_build tbl ~key_cols =
-    let key = Array.map (fun c -> tbl.cols.(c)) key_cols in
-    let n = tbl.nrows in
+  let build ?on_build ~nrows:n key =
     let mask = bucket_count n - 1 in
     let heads = Array.make (mask + 1) (-1) in
     let next = Array.make (max 1 n) (-1) in
@@ -261,13 +270,15 @@ module Pred = struct
         let t = tables.(k) in
         if c < 0 || c >= Array.length t.cols then `Bad
         else
-          `G
-            (match t.cols.(c) with
-            | Ints a -> G_int (fun rows -> a.(rows.(k)))
-            | Oids a -> G_oid (fun rows -> a.(rows.(k)))
-            | Ids a | Enums (_, a) ->
-              G_str (fun rows -> Intern.string_of_id a.(rows.(k)))
-            | Floats a -> G_float (fun rows -> a.(rows.(k)))))
+          match t.cols.(c) with
+          | Ints a -> `G (G_int (fun rows -> a.(rows.(k))))
+          | Oids a -> `G (G_oid (fun rows -> a.(rows.(k))))
+          | Ids a | Enums (_, a) ->
+            `G (G_str (fun rows -> Intern.string_of_id a.(rows.(k))))
+          | Floats a -> `G (G_float (fun rows -> a.(rows.(k))))
+          (* any constructor, so any outcome (and any error) of the
+             boxed comparison: left to the boxed evaluator *)
+          | Values _ -> `Bad)
     | Lera.Cst v when Value.is_collection v -> `Bad
     | Lera.Cst v -> (
       match v with

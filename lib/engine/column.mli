@@ -1,23 +1,27 @@
-(** Typed columnar view of a relation (the vectorized execution layer).
+(** Columnar view of a relation (the vectorized execution layer).
 
-    A relation whose tuples are made exclusively of [Int], [Oid], [Str],
-    [Enum] and [Real] scalars — one constructor per column — can be
-    shadowed by a {!table}: one typed array per column, strings and enum
-    labels replaced by their {!Eds_value.Intern} ids.  The hot loops of the
-    Indexed layer (hash-join build/probe, filter, semi-naive freshness) then
-    run over plain [int]/[float] arrays with no boxed [Value.t] in the
-    inner loop; boxed tuples are materialized only at result-construction
-    and Obs boundaries.
+    Every relation is shadowed by a {!table}: one array per column.  A
+    column whose cells are all [Int], all [Oid], all [Str], all [Enum]
+    of one enum type, or all [Real] is {e typed}: a plain [int]/[float]
+    array, strings and enum labels replaced by their
+    {!Eds_value.Intern} ids.  The hot loops of the Indexed layer
+    (hash-join build/probe, filter, semi-naive freshness) then run over
+    plain arrays with no boxed [Value.t] in the inner loop; boxed tuples
+    are materialized only at result-construction and Obs boundaries.
+
+    Every other column — one holding a [Null], [Bool], [Tuple] or
+    collection value, or mixing constructors (Int with Real, two enum
+    types, an enum with a string) — is a [Values] column of the boxed
+    cells, hashed by [Value.hash] and compared by [Value.compare = 0],
+    the equality of {!Relation.compare_tuples}.  So {!of_tuples} never
+    refuses, and the choice is per column: a relation with one
+    set-valued attribute still joins on its other columns as typed
+    keys.
 
     The boxed sorted tuple list of {!Relation} stays the canonical
     identity — a table is always {e derived} from it, never the other
     way around, so set semantics, rendering and storage are untouched.
-
-    Fallback rules (all-or-nothing per relation): any [Null], [Bool],
-    [Tuple], collection value, or a column mixing constructors (including
-    [Enum] cells of different enum types, or an [Enum]/[Str] mix) makes
-    {!of_tuples} return [None] and execution falls back to the boxed
-    paths.  An [Enum] column keeps its type name in the column header
+    An [Enum] column keeps its type name in the column header
     ({!Enums}), so rendering-faithful values are rebuilt on
     materialization while the hot loops compare interned label ids —
     exactly [Value.compare]'s semantics, which equates [Enum (_, l)]
@@ -33,8 +37,11 @@ type col =
       (** enum type name + interned labels; flavor {!F_id}, compares and
           hashes against [Ids] by id (enum/string cross-equality) *)
   | Floats of float array
+  | Values of Value.t array
+      (** any cells: hashed by [Value.hash], compared by
+          [Value.compare = 0] *)
 
-type flavor = F_int | F_oid | F_id | F_float
+type flavor = F_int | F_oid | F_id | F_float | F_values
 
 type table = {
   nrows : int;
@@ -49,11 +56,12 @@ val flavors_equal : table -> table -> bool
     flavors, cell equality coincides with [Value.compare = 0], while
     across flavors boxed cross-equalities (Int/Real) could apply. *)
 
-val of_tuples : arity:int -> int -> Value.t list list -> table option
+val of_tuples : arity:int -> int -> Value.t list list -> table
 (** [of_tuples ~arity nrows tuples] builds the columnar shadow of a
-    width-[arity] tuple list, or [None] under the fallback rules above
-    (also for [nrows = 0] or [arity = 0]).  Row order is preserved.
-    Interns every string cell. *)
+    width-[arity] tuple list of length [nrows]: typed columns where the
+    cells allow, [Values] columns elsewhere (every column of an empty
+    list is an empty [Values]).  Row order is preserved.  Interns every
+    string cell of a typed column. *)
 
 val value_at : table -> row:int -> col:int -> Value.t
 (** Materialize one cell ([Str] cells share the interned string). *)
@@ -61,11 +69,16 @@ val value_at : table -> row:int -> col:int -> Value.t
 val tuple_at : table -> int -> Value.t list
 (** Materialize one boxed row. *)
 
+val values : nrows:int -> col -> col
+(** The same cells as a [Values] column (the column itself if it is
+    one): the common flavor two columns of different flavors compare
+    in. *)
+
 val cell_equal : col -> int -> col -> int -> bool
 (** [cell_equal ca i cb j]: [Value.compare]-equality of two cells,
-    [false] across flavors (callers gate with {!flavors_equal} or the
-    join planner's flavor check first).  Float cells follow
-    [Float.compare]: NaN equals NaN, [-0. = 0.]. *)
+    [false] across flavors (callers gate with {!flavors_equal} or
+    compare mismatched flavors through {!values} views).  Float cells
+    follow [Float.compare]: NaN equals NaN, [-0. = 0.]. *)
 
 (** Flat chained hash index over selected key columns of one table.
     Build is sequential; probes are lock-free reads, safe from any
@@ -83,15 +96,16 @@ val cell_equal : col -> int -> col -> int -> bool
     ]}
 
     Probe cells must have the same flavor as the corresponding build
-    key column (gate with {!flavors_equal} or a per-edge flavor check):
-    across flavors, cell equality is [false] while the boxed paths
-    apply [Value.compare]'s Int/Real cross-equality. *)
+    key column (gate with {!flavors_equal}, or view both through
+    {!values}): across flavors, cell equality is [false] while
+    [Value.compare] may equate the cells (Int/Real). *)
 module Index : sig
   type t
 
-  val build : ?on_build:(unit -> unit) -> table -> key_cols:int array -> t
-  (** Index rows [0 .. nrows-1] on the given columns; [on_build] fires
-      once per row inserted (the build-side work counter). *)
+  val build : ?on_build:(unit -> unit) -> nrows:int -> col array -> t
+  (** Index rows [0 .. nrows-1] on the given key columns (each of
+      length [nrows]); [on_build] fires once per row inserted (the
+      build-side work counter). *)
 
   val first : t -> key:col array -> rows:int array -> int
   (** First indexed row whose build-key cells equal the probe cells
@@ -110,8 +124,9 @@ module Pred : sig
     | Rows of (int array -> bool)
         (** [rows.(k)] is the current row of operand [k+1] *)
     | Opaque
-        (** not compilable (or could raise, or a comparison operator was
-            overridden in the ADT registry) — use the boxed evaluator *)
+        (** not compilable (reads a [Values] column, could raise, or a
+            comparison operator was overridden in the ADT registry) —
+            use the boxed evaluator *)
 
   val compile : adts:Eds_value.Adt.registry -> table array -> Eds_lera.Lera.scalar -> t
   (** Compiles conjunctions/disjunctions/negations of the six builtin

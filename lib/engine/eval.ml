@@ -338,11 +338,12 @@ type ctx = {
   analyze : analysis option;  (** [Some] only under {!run_analyzed} *)
 }
 
-(* Whether to try the vectorized fast paths: the Indexed layer takes one
-   whenever its operands have a columnar shadow and the operator's
-   predicate and flavors qualify, and otherwise runs the boxed loops.
-   {!Physical.Naive} always stays boxed: it is the paper-shape counter
-   oracle. *)
+(* Whether to take the vectorized paths: the Indexed layer runs every
+   equi-join through the columnar executor, and takes the columnar
+   filter, projection and membership loops whenever the operator's
+   predicate compiles and its flavors qualify, running the boxed loops
+   otherwise.  {!Physical.Naive} always stays boxed: it is the
+   paper-shape counter oracle. *)
 let vectorized ctx =
   match ctx.physical with Physical.Indexed -> true | Physical.Naive -> false
 
@@ -363,78 +364,72 @@ let project_tuples ctx ps (ra : Relation.t) =
     (fun tup -> List.map (fun p -> Expr_eval.eval ctx.db ~inputs:[ tup ] p) ps)
     ra.Relation.tuples
 
-(* Vectorized selection: when the input has a columnar shadow and the
-   qualification compiles to a row predicate, filter by row number over
-   the typed arrays and rebuild the output as an order-preserving subset
-   (no re-sort).  Counter parity with {!filter_tuples}: one
-   [combinations] per input row.  Falls back to the boxed path
-   otherwise. *)
+(* Vectorized selection: when the qualification compiles to a row
+   predicate, filter by row number over the column arrays and rebuild
+   the output as an order-preserving subset (no re-sort).  Counter
+   parity with {!filter_tuples}: one [combinations] per input row.
+   Falls back to the boxed path otherwise, and takes it for an empty
+   input, where it costs nothing. *)
 let columnar_filter ctx q (ra : Relation.t) =
   let boxed () = Relation.make ra.Relation.schema (filter_tuples ctx q ra) in
-  if not (vectorized ctx) then boxed ()
+  if (not (vectorized ctx)) || Relation.is_empty ra then boxed ()
   else
-    match Relation.columns ra with
-    | None -> boxed ()
-    | Some tbl -> (
-      match Column.Pred.compile ~adts:(Database.adts ctx.db) [| tbl |] q with
-      | Column.Pred.Opaque -> boxed ()
-      | Column.Pred.Always ->
-        (* constant-true qualification: every row qualifies, and the
-           input is already in canonical form *)
-        let stats = ctx.stats in
-        stats.combinations <- stats.combinations + tbl.Column.nrows;
-        stats.columnar_ops <- stats.columnar_ops + 1;
-        ra
-      | Column.Pred.Rows p ->
-        let stats = ctx.stats in
-        let rows = [| 0 |] in
-        let out =
-          Relation.filteri
-            (fun i _ ->
-              Cancel.tick ();
-              stats.combinations <- stats.combinations + 1;
-              rows.(0) <- i;
-              p rows)
-            ra
-        in
-        stats.columnar_ops <- stats.columnar_ops + 1;
-        out)
+    let tbl = Relation.columns ra in
+    match Column.Pred.compile ~adts:(Database.adts ctx.db) [| tbl |] q with
+    | Column.Pred.Opaque -> boxed ()
+    | Column.Pred.Always ->
+      (* constant-true qualification: every row qualifies, and the
+         input is already in canonical form *)
+      let stats = ctx.stats in
+      stats.combinations <- stats.combinations + tbl.Column.nrows;
+      stats.columnar_ops <- stats.columnar_ops + 1;
+      ra
+    | Column.Pred.Rows p ->
+      let stats = ctx.stats in
+      let rows = [| 0 |] in
+      let out =
+        Relation.filteri
+          (fun i _ ->
+            Cancel.tick ();
+            stats.combinations <- stats.combinations + 1;
+            rows.(0) <- i;
+            p rows)
+          ra
+      in
+      stats.columnar_ops <- stats.columnar_ops + 1;
+      out
 
 (* Vectorized projection for pure column-pick lists ([Col (1, j)] only):
-   materialize the picked cells straight off the typed arrays.  Like
+   materialize the picked cells straight off the column arrays.  Like
    {!project_tuples} this counts nothing; any non-column item (or an
-   out-of-range pick, whose boxed evaluation raises) falls back. *)
+   out-of-range pick, whose boxed evaluation raises) falls back, and an
+   empty input takes the boxed path, where it costs nothing. *)
 let columnar_project ctx ps schema (ra : Relation.t) =
   let boxed () = Relation.make schema (project_tuples ctx ps ra) in
-  if not (vectorized ctx) then boxed ()
+  if (not (vectorized ctx)) || Relation.is_empty ra then boxed ()
   else
-    match Relation.columns ra with
-    | None -> boxed ()
-    | Some tbl ->
-      let width = Array.length tbl.Column.cols in
-      let pure_pick =
-        List.for_all
-          (function Lera.Col (1, j) -> j >= 1 && j <= width | _ -> false)
-          ps
+    let tbl = Relation.columns ra in
+    let width = Array.length tbl.Column.cols in
+    let pure_pick =
+      List.for_all
+        (function Lera.Col (1, j) -> j >= 1 && j <= width | _ -> false)
+        ps
+    in
+    if not pure_pick then boxed ()
+    else begin
+      let js =
+        Array.of_list
+          (List.map (function Lera.Col (_, j) -> j - 1 | _ -> assert false) ps)
       in
-      if not pure_pick then boxed ()
-      else begin
-        let js =
-          Array.of_list
-            (List.map
-               (function Lera.Col (_, j) -> j - 1 | _ -> assert false)
-               ps)
-        in
-        let out = ref [] in
-        for row = tbl.Column.nrows - 1 downto 0 do
-          out :=
-            Array.to_list
-              (Array.map (fun j -> Column.value_at tbl ~row ~col:j) js)
-            :: !out
-        done;
-        ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
-        Relation.make schema !out
-      end
+      let out = ref [] in
+      for row = tbl.Column.nrows - 1 downto 0 do
+        out :=
+          Array.to_list (Array.map (fun j -> Column.value_at tbl ~row ~col:j) js)
+          :: !out
+      done;
+      ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
+      Relation.make schema !out
+    end
 
 (* Vectorized whole-row membership, shared by Diff/Inter and the
    semi-naive freshness test: index [rb] on all of its columns, probe
@@ -449,10 +444,11 @@ let columnar_members ctx ~keep_found (ra : Relation.t) (rb : Relation.t) =
   if (not (vectorized ctx)) || Relation.is_empty ra || Relation.is_empty rb then
     None
   else
-    match (Relation.columns ra, Relation.columns rb) with
-    | Some ta, Some tb when Column.flavors_equal ta tb ->
+    let ta = Relation.columns ra and tb = Relation.columns rb in
+    if not (Column.flavors_equal ta tb) then None
+    else begin
       let width = Array.length tb.Column.cols in
-      let idx = Column.Index.build tb ~key_cols:(Array.init width Fun.id) in
+      let idx = Column.Index.build ~nrows:tb.Column.nrows tb.Column.cols in
       let key = ta.Column.cols in
       let rows = Array.make width 0 in
       let mem i =
@@ -466,7 +462,45 @@ let columnar_members ctx ~keep_found (ra : Relation.t) (rb : Relation.t) =
       in
       ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
       Some out
-    | _ -> None
+    end
+
+(* Collect [f combo] over the operand combinations satisfying
+   qualification [q], counting one [combinations] per qualified
+   candidate.  The naive layer enumerates the full cartesian product and
+   tests [q] on each; the indexed layer hands a qualification with equi
+   conjuncts to the hash-join executor, which enumerates only the equi
+   matches and tests just the residual — both yield the same
+   combination set. *)
+let collect_joined ctx inputs q f =
+  let stats = ctx.stats in
+  let out = ref [] in
+  let keep combo = out := f combo :: !out in
+  let hash_join =
+    match ctx.physical with
+    | Physical.Naive -> None
+    | Physical.Indexed ->
+      let plan = Join_plan.analyze ~operands:(List.length inputs) q in
+      if Join_plan.has_equis plan then Some plan else None
+  in
+  (match hash_join with
+  | Some _ when List.exists Relation.is_empty inputs ->
+    (* nothing to join: skip even the operands' column builds *)
+    ()
+  | Some plan ->
+    Join_plan.execute ctx.db
+      ~on_build:(fun () -> stats.builds <- stats.builds + 1)
+      ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
+      ~on_combination:(fun () ->
+        Cancel.tick ();
+        stats.combinations <- stats.combinations + 1)
+      plan
+      (Array.of_list (List.map Relation.columns inputs))
+      keep;
+    stats.columnar_ops <- stats.columnar_ops + 1
+  | None ->
+    cartesian stats inputs (fun combo ->
+        if Expr_eval.eval_bool ctx.db ~inputs:combo q then keep combo));
+  !out
 
 (* trace-span label of one operator node *)
 let op_label : Lera.rel -> string = function
@@ -569,109 +603,6 @@ and eval_framed ctx analyze (r : Lera.rel) : Relation.t =
   | exception e ->
     finish None;
     raise e
-
-(* Enumerate the operand combinations satisfying qualification [q],
-   counting one [combinations] per qualified candidate.  The naive layer
-   enumerates the full cartesian product and tests [q] on each; the
-   indexed layer extracts the equi-join conjuncts, enumerates only the
-   hash-join matches and tests just the residual — on the same operand
-   ordering semantics, so both yield the same combination set. *)
-and joined ctx (inputs : Relation.t list) q (yield : Relation.tuple list -> unit) =
-  let stats = ctx.stats in
-  match ctx.physical with
-  | Physical.Naive ->
-    cartesian stats inputs (fun combo ->
-        if Expr_eval.eval_bool ctx.db ~inputs:combo q then yield combo)
-  | Physical.Indexed ->
-    let plan = Join_plan.analyze ~operands:(List.length inputs) q in
-    if not (Join_plan.has_equis plan) then
-      cartesian stats inputs (fun combo ->
-          if Expr_eval.eval_bool ctx.db ~inputs:combo q then yield combo)
-    else begin
-      let residual = Join_plan.residual plan in
-      Join_plan.execute
-        ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-        ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
-        plan (Array.of_list inputs)
-        (fun combo ->
-          Cancel.tick ();
-          stats.combinations <- stats.combinations + 1;
-          if Expr_eval.eval_bool ctx.db ~inputs:combo residual then yield combo)
-    end
-
-(* columnar shadows of every operand, or [None] on the first fallback *)
-and all_columns inputs =
-  let rec go acc = function
-    | [] -> Some (Array.of_list (List.rev acc))
-    | (r : Relation.t) :: rest -> (
-      match Relation.columns r with
-      | Some t -> go (t :: acc) rest
-      | None -> None)
-  in
-  go [] inputs
-
-(* The vectorized join driver: when every operand has a columnar shadow,
-   the plan's equi edges are flavor-compatible and the residual compiles
-   to a row predicate, enumeration runs through
-   {!Join_plan.execute_columnar} — combinations stay row-number cursors
-   and boxed tuples are materialized only for combinations surviving the
-   residual.  Counter totals (combinations, probes, builds) match the
-   boxed executors by construction; [None] means "use the boxed path". *)
-and columnar_join : 'a. ctx -> Relation.t list -> Lera.scalar ->
-    (Relation.tuple list -> 'a) -> 'a list option =
-  fun ctx inputs q f ->
-  if (not (vectorized ctx)) || inputs = [] then None
-  else begin
-    let plan = Join_plan.analyze ~operands:(List.length inputs) q in
-    if not (Join_plan.has_equis plan) then None
-    else
-      match all_columns inputs with
-      | None -> None
-      | Some tables ->
-        if not (Join_plan.columnar_ok plan tables) then None
-        else begin
-          match
-            Column.Pred.compile ~adts:(Database.adts ctx.db) tables
-              (Join_plan.residual plan)
-          with
-          | Column.Pred.Opaque -> None
-          | pred ->
-            let test =
-              match pred with
-              | Column.Pred.Always -> fun _ -> true
-              | Column.Pred.Rows p -> p
-              | Column.Pred.Opaque -> assert false
-            in
-            let ntab = Array.length tables in
-            let materialize (rows : int array) =
-              List.init ntab (fun k -> Column.tuple_at tables.(k) rows.(k))
-            in
-            let stats = ctx.stats in
-            let out = ref [] in
-            Join_plan.execute_columnar
-              ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-              ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
-              plan tables
-              (fun rows ->
-                Cancel.tick ();
-                stats.combinations <- stats.combinations + 1;
-                if test rows then out := f (materialize rows) :: !out);
-            stats.columnar_ops <- stats.columnar_ops + 1;
-            Some !out
-        end
-  end
-
-(* Collect [f combo] over every qualified combination: the columnar
-   driver when it applies, the boxed enumeration otherwise. *)
-and collect_joined : 'a. ctx -> Relation.t list -> Lera.scalar ->
-    (Relation.tuple list -> 'a) -> 'a list =
-  fun ctx inputs q f ->
-  match columnar_join ctx inputs q f with
-  | Some out -> out
-  | None ->
-    let out = ref [] in
-    joined ctx inputs q (fun combo -> out := f combo :: !out);
-    !out
 
 and eval_node ctx (r : Lera.rel) : Relation.t =
   let { db; stats; rvars; _ } = ctx in

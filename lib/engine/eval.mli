@@ -114,11 +114,12 @@ val run :
 (** Evaluate an expression.  [rvars] supplies bindings for free recursion
     variables (used internally and by tests).  Default mode is
     [Seminaive]; default physical layer is [Indexed].  The Indexed layer
-    takes a vectorized fast path (join, filter, project, diff/inter,
-    semi-naive freshness) wherever the operands have a columnar shadow
-    ({!Column}), the predicate compiles and the column flavors match,
-    and runs the boxed loops otherwise; {!Physical.Naive}, the counter
-    oracle, always stays boxed.  Results and all {!stats} fields except
+    runs every equi-join through the columnar executor
+    ({!Join_plan.execute}), and takes the vectorized filter, project,
+    diff/inter and semi-naive freshness paths wherever the predicate
+    compiles and the column flavors match ({!Column}), running the boxed
+    loops otherwise; {!Physical.Naive}, the counter oracle, always stays
+    boxed.  Results and all {!stats} fields except
     [columnar_ops] are identical either way.  [fix_cache] attaches a
     {!Shared_fix_cache} so closed fixpoints memoized by a previous run
     can be reused (validated per-relation against this run's database);

@@ -1,5 +1,5 @@
-(* Equi-join extraction and hash-join execution for the indexed physical
-   evaluator (Eval.Physical.Indexed).
+(* Equi-join extraction and the hash-join executor of the indexed
+   physical evaluator (Eval.Physical.Indexed).
 
    [analyze] splits the qualification of a Search/Join into equi-join
    conjuncts — [i.j = k.l] with i <> k, both operands in range — and a
@@ -7,11 +7,11 @@
    exactly the operand combinations satisfying every equi conjunct:
    operands are taken greedily by cardinality (preferring ones connected
    to the already-bound set), each new operand is loaded into a hash
-   index on its join columns (one [on_build] per tuple) and the
-   accumulated partial combinations probe it (one [on_probe] per
-   partial).  The caller applies the residual to the yielded
-   combinations — which arrive in original operand order — so the naive
-   cartesian enumerator and this path agree bit-for-bit on results. *)
+   index on its join columns (one [on_build] per row) and the partial
+   combinations probe it (one [on_probe] per partial).  Each
+   combination is tested against the residual, and the survivors are
+   materialized in original operand order, so the naive cartesian
+   enumerator and this path agree bit-for-bit on results. *)
 
 module Lera = Eds_lera.Lera
 
@@ -92,233 +92,151 @@ let greedy_order p (cards : int array) =
   done;
   List.rev !order
 
-let execute ~on_build ~on_probe p (rels : Relation.t array)
-    (yield : Relation.tuple list -> unit) =
-  let n = Array.length rels in
-  if n = 0 then yield [] (* zero operands: the one empty combination *)
-  else if Array.exists Relation.is_empty rels then ()
-  else begin
-    let cards = Array.map Relation.cardinality rels in
-    let order = greedy_order p cards in
-    let bound = Array.make n false in
-    let combos = ref [] in
-    List.iteri
-      (fun step k ->
-        if step = 0 then
-          combos :=
-            List.map
-              (fun tup ->
-                let c = Array.make n [] in
-                c.(k) <- tup;
-                c)
-              rels.(k).Relation.tuples
-        else begin
-          let edges = edges_to_bound p bound k in
-          match edges with
-          | [] ->
-            (* cartesian step: no equi edge reaches [k] yet *)
-            combos :=
-              List.concat_map
-                (fun combo ->
-                  List.map
-                    (fun tup ->
-                      let c = Array.copy combo in
-                      c.(k) <- tup;
-                      c)
-                    rels.(k).Relation.tuples)
-                !combos
-          | _ -> (
-            let build_cols = List.map snd edges in
-            let key_of_tuple tup = List.map (fun j -> List.nth tup (j - 1)) build_cols in
-            let probe_key combo =
-              List.map (fun ((b, j), _) -> List.nth combo.(b) (j - 1)) edges
-            in
-            match rels.(k).Relation.tuples with
-            | [ only ] ->
-              (* single-tuple operand: comparing against it directly is the
-                 same work as the eventual residual test, so no index is
-                 built and neither counter fires — this also keeps total
-                 probes within the naive combination count on degenerate
-                 all-singleton joins *)
-              let key = key_of_tuple only in
-              combos :=
-                List.filter_map
-                  (fun combo ->
-                    if Relation.compare_tuples (probe_key combo) key = 0 then begin
-                      let c = Array.copy combo in
-                      c.(k) <- only;
-                      Some c
-                    end
-                    else None)
-                  !combos
-            | tuples ->
-              let index = Relation.Tuple_tbl.create (max 16 cards.(k)) in
-              List.iter
-                (fun tup ->
-                  on_build ();
-                  let key = key_of_tuple tup in
-                  let prev =
-                    match Relation.Tuple_tbl.find_opt index key with
-                    | Some ts -> ts
-                    | None -> []
-                  in
-                  Relation.Tuple_tbl.replace index key (tup :: prev))
-                tuples;
-              combos :=
-                List.concat_map
-                  (fun combo ->
-                    on_probe ();
-                    match Relation.Tuple_tbl.find_opt index (probe_key combo) with
-                    | None -> []
-                    | Some matches ->
-                      List.rev_map
-                        (fun tup ->
-                          let c = Array.copy combo in
-                          c.(k) <- tup;
-                          c)
-                        matches)
-                  !combos)
-        end;
-        bound.(k) <- true)
-      order;
-    List.iter (fun combo -> yield (Array.to_list combo)) !combos
-  end
+(* -- the executor ------------------------------------------------------------
 
-(* -- the columnar executor (Indexed with qualifying schemas) ---------------
+   Enumeration is pipelined — combinations are walked depth-first over
+   one cursor array instead of being materialized after every step —
+   and the inner loops never touch a boxed [Value.t] on typed keys:
+   operands are column arrays, probe keys hash and compare as packed
+   ints ({!Column.Index}), and a combination becomes boxed tuples only
+   once it reaches the residual test (compiled to a row predicate when
+   it can be, {!Expr_eval.eval_bool} on the materialized tuples when
+   not).  Counters: single-row operands compare directly with no
+   counter (the same work as the eventual residual test, which keeps
+   total probes within the naive combination count on all-singleton
+   joins), cartesian steps count nothing, probes fire once per partial
+   reaching a hash step.  An equi edge whose two columns differ in
+   flavor compares through [Values] views of both, because the typed
+   fast path cannot see [Value.compare]'s cross-constructor equalities
+   (Int/Real). *)
 
-   Same combination set and the same probe/build counter totals as
-   [execute] (single-tuple operands compare directly with no counters,
-   cartesian steps count nothing, probes fire once per partial reaching
-   a hash step), but enumeration is pipelined — combinations are
-   walked depth-first over one cursor array instead of being
-   materialized after every step — and the inner loops never touch a
-   boxed [Value.t]: operands are typed column arrays, probe keys hash
-   and compare as packed ints ({!Column.Index}), and a match yields the
-   per-operand *row numbers* so the caller materializes tuples only for
-   combinations that survive its residual.
-
-   Callers must check {!columnar_ok} first: every equi edge needs its
-   two columns in range and of equal flavor, because the int fast path
-   cannot see [Value.compare]'s Int/Real cross-equality. *)
-
-let columnar_ok p (tables : Column.table array) =
-  List.for_all
-    (fun { left = li, lj; right = ri, rj } ->
-      let ok (i, j) = j >= 1 && j <= Array.length tables.(i - 1).Column.cols in
-      ok (li, lj)
-      && ok (ri, rj)
-      && Column.flavor tables.(li - 1).Column.cols.(lj - 1)
-         = Column.flavor tables.(ri - 1).Column.cols.(rj - 1))
-    p.equis
-
-type cstep =
-  | C_scan of int
-  | C_single of {
+type step =
+  | Scan of int
+  | Single of {
       op : int;
       skey : Column.col array;  (** build key cells, all at row 0 *)
       pkey : Column.col array;
       pops : int array;  (** probe-side operand per edge *)
     }
-  | C_probe of {
+  | Probe of {
       op : int;
       index : Column.Index.t;
       pkey : Column.col array;
       pops : int array;
     }
 
-let execute_columnar ~on_build ~on_probe p (tables : Column.table array)
-    (yield : int array -> unit) =
-  let n = Array.length tables in
-  let cards = Array.map (fun (t : Column.table) -> t.Column.nrows) tables in
-  let order = greedy_order p cards in
-  let driver, rest = match order with d :: r -> (d, r) | [] -> assert false in
-  let bound = Array.make n false in
-  bound.(driver) <- true;
-  let steps =
-    List.map
-      (fun k ->
-        let edges = edges_to_bound p bound k in
-        bound.(k) <- true;
-        match edges with
-        | [] -> C_scan k
-        | edges ->
-          let key_cols =
-            Array.of_list (List.map (fun (_, j) -> j - 1) edges)
-          in
-          let pkey =
-            Array.of_list
-              (List.map
-                 (fun ((b, j), _) -> tables.(b).Column.cols.(j - 1))
-                 edges)
-          in
-          let pops = Array.of_list (List.map (fun ((b, _), _) -> b) edges) in
-          if cards.(k) = 1 then
-            C_single
-              {
-                op = k;
-                skey = Array.map (fun c -> tables.(k).Column.cols.(c)) key_cols;
-                pkey;
-                pops;
-              }
-          else
-            C_probe
-              {
-                op = k;
-                index = Column.Index.build ~on_build tables.(k) ~key_cols;
-                pkey;
-                pops;
-              })
-      rest
-  in
-  let current = Array.make n 0 in
-  (* per-step probe-row scratch, refilled before each probe and left
-     untouched by deeper steps *)
-  let scratch =
-    Array.of_list
-      (List.map
-         (function
-           | C_scan _ -> [||]
-           | C_single { pkey; _ } | C_probe { pkey; _ } ->
-             Array.make (Array.length pkey) 0)
-         steps)
-  in
-  let single_matches skey pkey pops =
-    let ok = ref true in
-    let e = ref 0 in
-    let ne = Array.length skey in
-    while !ok && !e < ne do
-      if not (Column.cell_equal skey.(!e) 0 pkey.(!e) current.(pops.(!e)))
-      then ok := false;
-      incr e
-    done;
-    !ok
-  in
-  let rec go si = function
-    | [] -> yield current
-    | C_scan k :: deeper ->
-      for r = 0 to cards.(k) - 1 do
-        current.(k) <- r;
-        go (si + 1) deeper
+let execute db ~on_build ~on_probe ~on_combination p
+    (tables : Column.table array) (yield : Relation.tuple list -> unit) =
+  (* an empty operand: no combination, and nothing built or probed *)
+  if not (Array.exists (fun (t : Column.table) -> t.Column.nrows = 0) tables)
+  then begin
+    let n = Array.length tables in
+    let cards = Array.map (fun (t : Column.table) -> t.Column.nrows) tables in
+    let current = Array.make n 0 in
+    let materialize () =
+      List.init n (fun k -> Column.tuple_at tables.(k) current.(k))
+    in
+    let residual = p.residual in
+    let emit =
+      match Column.Pred.compile ~adts:(Database.adts db) tables residual with
+      | Column.Pred.Always -> fun () -> yield (materialize ())
+      | Column.Pred.Rows test -> fun () -> if test current then yield (materialize ())
+      | Column.Pred.Opaque ->
+        fun () ->
+          let combo = materialize () in
+          if Expr_eval.eval_bool db ~inputs:combo residual then yield combo
+    in
+    let bound = Array.make n false in
+    let step k =
+      let edges = edges_to_bound p bound k in
+      bound.(k) <- true;
+      match edges with
+      | [] -> Scan k
+      | edges ->
+        (* one (build cell, probe cell) column pair per edge *)
+        let pairs =
+          List.map
+            (fun ((b, jb), jk) ->
+              let ck = tables.(k).Column.cols.(jk - 1)
+              and cb = tables.(b).Column.cols.(jb - 1) in
+              if Column.flavor ck = Column.flavor cb then (ck, cb)
+              else
+                ( Column.values ~nrows:cards.(k) ck,
+                  Column.values ~nrows:cards.(b) cb ))
+            edges
+        in
+        let skey = Array.of_list (List.map fst pairs) in
+        let pkey = Array.of_list (List.map snd pairs) in
+        let pops = Array.of_list (List.map (fun ((b, _), _) -> b) edges) in
+        if cards.(k) = 1 then Single { op = k; skey; pkey; pops }
+        else
+          Probe
+            {
+              op = k;
+              index = Column.Index.build ~on_build ~nrows:cards.(k) skey;
+              pkey;
+              pops;
+            }
+    in
+    match greedy_order p cards with
+    | [] ->
+      (* zero operands: the one empty combination *)
+      on_combination ();
+      emit ()
+    | driver :: rest ->
+      bound.(driver) <- true;
+      let steps = List.map step rest in
+      (* per-step probe-row scratch, refilled before each probe and left
+         untouched by deeper steps *)
+      let scratch =
+        Array.of_list
+          (List.map
+             (function
+               | Scan _ -> [||]
+               | Single { pkey; _ } | Probe { pkey; _ } ->
+                 Array.make (Array.length pkey) 0)
+             steps)
+      in
+      let single_matches skey pkey pops =
+        let ok = ref true in
+        let e = ref 0 in
+        let ne = Array.length skey in
+        while !ok && !e < ne do
+          if not (Column.cell_equal skey.(!e) 0 pkey.(!e) current.(pops.(!e)))
+          then ok := false;
+          incr e
+        done;
+        !ok
+      in
+      let rec go si = function
+        | [] ->
+          on_combination ();
+          emit ()
+        | Scan k :: deeper ->
+          for r = 0 to cards.(k) - 1 do
+            current.(k) <- r;
+            go (si + 1) deeper
+          done
+        | Single { op; skey; pkey; pops } :: deeper ->
+          if single_matches skey pkey pops then begin
+            current.(op) <- 0;
+            go (si + 1) deeper
+          end
+        | Probe pr :: deeper ->
+          on_probe ();
+          let rows = scratch.(si) in
+          for e = 0 to Array.length rows - 1 do
+            rows.(e) <- current.(pr.pops.(e))
+          done;
+          let r = ref (Column.Index.first pr.index ~key:pr.pkey ~rows) in
+          while !r >= 0 do
+            current.(pr.op) <- !r;
+            go (si + 1) deeper;
+            r := Column.Index.next pr.index ~key:pr.pkey ~rows !r
+          done
+      in
+      for i = 0 to cards.(driver) - 1 do
+        current.(driver) <- i;
+        go 0 steps
       done
-    | C_single { op; skey; pkey; pops } :: deeper ->
-      if single_matches skey pkey pops then begin
-        current.(op) <- 0;
-        go (si + 1) deeper
-      end
-    | C_probe pr :: deeper ->
-      on_probe ();
-      let rows = scratch.(si) in
-      for e = 0 to Array.length rows - 1 do
-        rows.(e) <- current.(pr.pops.(e))
-      done;
-      let r = ref (Column.Index.first pr.index ~key:pr.pkey ~rows) in
-      while !r >= 0 do
-        current.(pr.op) <- !r;
-        go (si + 1) deeper;
-        r := Column.Index.next pr.index ~key:pr.pkey ~rows !r
-      done
-  in
-  for i = 0 to cards.(driver) - 1 do
-    current.(driver) <- i;
-    go 0 steps
-  done
+  end

@@ -1,4 +1,4 @@
-(** Equi-join extraction and hash-join execution for the indexed
+(** Equi-join extraction and the hash-join executor of the indexed
     physical evaluator ({!Eval.Physical.Indexed}).
 
     A Search/Join qualification is split into equi-join conjuncts
@@ -6,7 +6,7 @@
     conjunction; execution then enumerates only the combinations
     satisfying every equi conjunct — hash-index build on each new
     operand, probe from the accumulated partials — instead of the full
-    cartesian product, and the caller post-filters with the residual. *)
+    cartesian product, and tests the residual on each of them. *)
 
 module Lera = Eds_lera.Lera
 
@@ -31,40 +31,25 @@ val equi_count : t -> int
 val has_equis : t -> bool
 
 val execute :
+  Database.t ->
   on_build:(unit -> unit) ->
   on_probe:(unit -> unit) ->
-  t ->
-  Relation.t array ->
-  (Relation.tuple list -> unit) ->
-  unit
-(** [execute ~on_build ~on_probe plan rels yield] calls [yield] once per
-    operand combination satisfying every equi conjunct, with the tuples
-    in original operand order (the residual is {e not} applied).
-    [on_build] fires once per tuple loaded into a hash index, [on_probe]
-    once per index lookup.  Short-circuits to nothing if any operand is
-    empty; with zero operands yields the single empty combination, like
-    the cartesian enumerator. *)
-
-val columnar_ok : t -> Column.table array -> bool
-(** Whether {!execute_columnar} may run this plan over these operand
-    tables: every equi edge's two columns must be in range and share a
-    flavor (the packed-int fast path cannot see [Value.compare]'s
-    Int/Real cross-equality).  The caller separately guarantees that
-    {e every} operand has a columnar shadow. *)
-
-val execute_columnar :
-  on_build:(unit -> unit) ->
-  on_probe:(unit -> unit) ->
+  on_combination:(unit -> unit) ->
   t ->
   Column.table array ->
-  (int array -> unit) ->
+  (Relation.tuple list -> unit) ->
   unit
-(** The vectorized executor: same combination set and the same
-    [on_build]/[on_probe] {e totals} as {!execute}, but enumeration
-    runs entirely over typed column arrays — probe keys hash and
-    compare as packed ints, and [yield rows] hands over the per-operand
-    {e row numbers} ([rows.(k)] indexes operand [k]'s table) so the
-    caller materializes boxed tuples only for surviving combinations.
-    [rows] is a reused cursor: read it during the callback, don't keep
-    it.  Precondition: {!columnar_ok} holds and no operand table is
-    empty. *)
+(** [execute db ~on_build ~on_probe ~on_combination plan tables yield]
+    enumerates the combinations of the operand tables satisfying every
+    equi conjunct, firing [on_combination] once per such combination,
+    and calls [yield] with the materialized tuples (original operand
+    order) of each one that also satisfies the residual.  The residual
+    runs as a compiled row predicate ({!Column.Pred}) when it compiles,
+    and through [Expr_eval.eval_bool] over [db] on the materialized
+    tuples otherwise.  [on_build] fires once per row loaded into a hash
+    index, [on_probe] once per index lookup.  An edge joining columns
+    of different flavors compares through [Values] views of both
+    ({!Column.values}), so Int/Real cross-equality holds.  If any
+    operand is empty, returns before building anything and fires no
+    callback; with zero operands enumerates the single empty
+    combination, like the cartesian enumerator. *)

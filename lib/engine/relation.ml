@@ -52,7 +52,7 @@ type t = {
   tuples : tuple list;
   card : int;
   index : index memo;
-  cols : Column.table option memo;
+  cols : Column.table memo;
 }
 
 (* sorted, duplicate-free input.  Both caches are derived from the

@@ -16,7 +16,7 @@ module Schema = Eds_lera.Schema
 type tuple = Value.t list
 
 (** Hashtables keyed on whole tuples ({!compare_tuples} equality,
-    {!hash_tuple} hashing).  Shared by the hash-join machinery and the
+    {!hash_tuple} hashing).  Shared by the membership view and the
     nest-grouping path of the evaluator. *)
 module Tuple_tbl : Hashtbl.S with type key = tuple
 
@@ -34,9 +34,8 @@ type t = private {
   tuples : tuple list;  (** sorted, duplicate-free *)
   card : int;  (** [List.length tuples], cached *)
   index : index memo;  (** hash-set over [tuples], built on first use *)
-  cols : Column.table option memo;
-      (** typed columnar shadow, derived from [tuples] on first use;
-          [None] when the schema or the values disqualify (see
+  cols : Column.table memo;
+      (** columnar shadow, derived from [tuples] on first use (see
           {!Column.of_tuples}) *)
 }
 
@@ -58,10 +57,9 @@ val mem : tuple -> t -> bool
 (** O(1) expected: probes the hash-set view.  Safe to call concurrently
     from several threads or domains. *)
 
-val columns : t -> Column.table option
-(** The columnar shadow of the tuples, built on first use; [None] when
-    the relation does not qualify.  Safe to call concurrently, like
-    {!mem}. *)
+val columns : t -> Column.table
+(** The columnar shadow of the tuples, built on first use.  Safe to
+    call concurrently, like {!mem}. *)
 
 val filteri : (int -> tuple -> bool) -> t -> t
 (** Subset of the tuples by position (0-based, canonical order) and

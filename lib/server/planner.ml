@@ -192,12 +192,7 @@ let plan_timed ?(exclusive = fun f -> f ()) t text =
       Plan_cache.count `Hit;
       (rel, `Hit, (0., 0., 0.))
   | _ -> (
-      let sel, parse_s =
-        try Session.parse_select text
-        with e ->
-          Plan_cache.count `Miss;
-          raise e
-      in
+      let sel, parse_s = Session.parse_select text in
       let tmpl, values = Template.erase sel in
       match resolve (Plan_cache.lookup t.cache) gen tmpl with
       | Some (Generic rel) ->

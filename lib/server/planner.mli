@@ -65,7 +65,8 @@ val plan :
     exclusive-section wrapper.  The section double-checks the cache on entry,
     so two threads racing on the same cold text or template plan it
     once.  Raises like {!Session.explain} (parse/type errors are never
-    cached; a parse error raises without entering [exclusive]). *)
+    cached; a parse error raises without entering [exclusive] and
+    counts neither a hit nor a miss). *)
 
 val execute :
   ?exclusive:((unit -> Session.Lera.rel) -> Session.Lera.rel) ->

@@ -37,7 +37,7 @@ let default_config =
    module init so the request path touches no registry lock — just an
    assoc lookup over a handful of pairs and an atomic increment. *)
 
-let verbs = [ "select"; "explain"; "write"; "admin" ]
+let verbs = [ "select"; "explain"; "write"; "admin"; "other" ]
 let outcomes = [ "ok"; "error"; "timeout" ]
 
 let m_queries =
@@ -148,14 +148,20 @@ let first_token line =
   | Some i -> String.sub line 0 i
   | None -> line
 
+(* the line's first token as the ESQL lexer reads it (an identifier, so
+   [SELECT*FROM R] starts with SELECT), uppercased: every statement and
+   every wire command starts with a keyword *)
+let keyword line =
+  let ident c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+  in
+  let rec stop i = if i < String.length line && ident line.[i] then stop (i + 1) else i in
+  String.uppercase_ascii (String.sub line 0 (stop 0))
+
 let rest_after_token line =
   match String.index_opt line ' ' with
   | Some i -> String.trim (String.sub line i (String.length line - i))
   | None -> ""
-
-let all_alpha s =
-  s <> ""
-  && String.for_all (fun c -> (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z')) s
 
 let with_budget t f =
   match t.cfg.query_timeout with
@@ -507,7 +513,7 @@ let directive_refused =
 let dispatch_line t conn_id line =
   if line.[0] = '.' then directive_refused
   else
-    let token = String.uppercase_ascii (first_token line) in
+    let token = keyword line in
     if List.mem token esql_starters then
       if token = "SELECT" then run_select t conn_id line else run_write t conn_id line
     else
@@ -523,24 +529,23 @@ let dispatch_line t conn_id line =
       | "SAVE" -> run_save t (rest_after_token line)
       | "VERIFY" -> run_verify t line
       | "QUIT" -> `Close (Protocol.Ok, "bye\n")
-      | _ when all_alpha (first_token line) ->
+      | _ ->
+          (* no ESQL statement starts with any other token *)
           `Reply
             ( Protocol.Error,
               Printf.sprintf "error: unknown command %s (try HELP)\n" (first_token line)
             )
-      | _ ->
-          (* let the ESQL parser produce its own error message *)
-          run_write t conn_id line
 
 let verb_of_line line =
   if line.[0] = '.' then "admin"
   else
-    match String.uppercase_ascii (first_token line) with
+    match keyword line with
     | "SELECT" -> "select"
     | "EXPLAIN" -> "explain"
     | "HELP" | "PING" | "STATS" | "METRICS" | "SAVE" | "VERIFY" | "QUIT" ->
       "admin"
-    | _ -> "write"
+    | token when List.mem token esql_starters -> "write"
+    | _ -> "other"
 
 (* per-line recovery, mirroring the REPL: one bad request must never
    kill the connection, let alone the server.  [Cancel.clear] backstops

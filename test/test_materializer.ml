@@ -265,25 +265,25 @@ let test_columnar_enum () =
       [ Value.Int 2; Value.Enum ("color", "blue") ];
     ]
   in
-  (match Column.of_tuples ~arity:2 2 tuples with
-  | None -> Alcotest.fail "enum-keyed tuples should qualify for columnar"
-  | Some t ->
-    Alcotest.(check bool) "enum column has id flavor" true
-      (Column.flavor t.Column.cols.(1) = Column.F_id);
-    let v = Column.value_at t ~row:1 ~col:1 in
-    Alcotest.(check bool) "type name survives round trip" true
-      (v = Value.Enum ("color", "blue")));
-  (* mixing enum types, or enum with plain strings, still bails *)
-  Alcotest.(check bool) "mixed enum types bail" true
-    (Column.of_tuples ~arity:1 2
-       [ [ Value.Enum ("a", "x") ]; [ Value.Enum ("b", "x") ] ]
-    = None);
-  Alcotest.(check bool) "enum/str mix bails" true
-    (Column.of_tuples ~arity:1 2 [ [ Value.Enum ("a", "x") ]; [ Value.Str "x" ] ]
-    = None);
-  (* end to end: a hash join keyed on enum columns takes the vectorized
-     path — before the Enums flavor any enum operand forced the whole
-     join back to the boxed executor *)
+  let t = Column.of_tuples ~arity:2 2 tuples in
+  Alcotest.(check bool) "enum column has id flavor" true
+    (Column.flavor t.Column.cols.(1) = Column.F_id);
+  let v = Column.value_at t ~row:1 ~col:1 in
+  Alcotest.(check bool) "type name survives round trip" true
+    (v = Value.Enum ("color", "blue"));
+  (* mixing enum types, or enum with plain strings, gives a Values
+     column that keeps every cell as it was *)
+  let values_column tuples =
+    let t = Column.of_tuples ~arity:1 2 tuples in
+    Column.flavor t.Column.cols.(0) = Column.F_values
+    && List.equal ( = ) (List.init 2 (Column.tuple_at t)) tuples
+  in
+  Alcotest.(check bool) "mixed enum types are a Values column" true
+    (values_column [ [ Value.Enum ("a", "x") ]; [ Value.Enum ("b", "x") ] ]);
+  Alcotest.(check bool) "enum/str mix is a Values column" true
+    (values_column [ [ Value.Enum ("a", "x") ]; [ Value.Str "x" ] ]);
+  (* end to end: a hash join keyed on enum columns joins typed id
+     keys *)
   let s = Session.create () in
   setup s;
   List.iter (exec s)
@@ -300,7 +300,13 @@ let test_columnar_enum () =
       "SELECT NODE.Id, PAINT.Price FROM NODE, PAINT WHERE NODE.Tint = PAINT.Hue"
   in
   Alcotest.(check int) "join result" 2 (Relation.cardinality rel);
-  Alcotest.(check bool) "columnar fast path engaged" true (columnar () > before)
+  Alcotest.(check bool) "columnar fast path engaged" true (columnar () > before);
+  List.iter
+    (fun (table, c) ->
+      let cols = Relation.columns (Database.relation (Session.database s) table) in
+      Alcotest.(check bool) (table ^ " key is a typed id column") true
+        (Column.flavor cols.Column.cols.(c) = Column.F_id))
+    [ ("NODE", 1); ("PAINT", 0) ]
 
 (* -- unit: storage round trip preserves extents -------------------------- *)
 
@@ -383,9 +389,8 @@ let print_scenario (sel, ops) =
 
 (* [mixed] seeds EDGE and NODE with an Int row and a row whose Int
    columns hold Reals, both outside the ids the ops touch: a column
-   mixing Int and Real has no columnar shadow, so the Indexed layer
-   reads them, and maintains the views over them, through its boxed
-   loops *)
+   mixing Int and Real is a [Values] column, so the Indexed layer joins
+   them, and maintains the views over them, on [Values] keys *)
 let configs =
   [
     (Eval.Physical.Naive, false);
@@ -411,8 +416,9 @@ let run_scenario ~physical ~mixed (sel, ops) =
   if mixed then
     List.iter
       (fun n ->
-        if Relation.columns (Database.relation (Session.database subject) n) <> None
-        then Alcotest.failf "mixed %s still has a columnar shadow" n)
+        let cols = Relation.columns (Database.relation (Session.database subject) n) in
+        if Column.flavor cols.Column.cols.(0) <> Column.F_values then
+          Alcotest.failf "mixed %s has a typed first column" n)
       [ "EDGE"; "NODE" ];
   List.iter (create_view ~materialized:true subject) views;
   List.iter (create_view ~materialized:false oracle) views;

@@ -1,9 +1,9 @@
 (* The physical evaluation layer (Eval.Physical): the indexed hash-join
-   evaluator against the naive cartesian reference.  The Indexed layer
-   picks its representation from the input — vectorized wherever the
-   operands carry a columnar shadow, boxed otherwise — so the boxed
-   loops are covered by inputs that have no shadow, with Naive (always
-   boxed) as the oracle.
+   evaluator against the naive cartesian reference.  Every relation
+   carries a columnar shadow whose columns are typed where the cells
+   allow and [Values] (boxed cells) elsewhere, so the one join executor
+   is covered on typed keys, on [Values] keys and across the two, with
+   Naive (always boxed) as the oracle.
 
    - golden cross-mode suite: on every fixture plan, Naive and Indexed
      produce Relation.equal results;
@@ -12,16 +12,18 @@
      magnitude;
    - set-operation operand validation (union/diff/inter arity errors);
    - Join_plan equi-conjunct extraction, and a qcheck property that the
-     boxed and columnar executors enumerate the same combinations with
-     identical probe and build counts;
+     executor, over operands of mixed flavors, yields exactly the
+     cartesian combinations satisfying the qualification and counts
+     exactly those satisfying its equi conjuncts;
    - a qcheck property over random schema-correct LERA plans, on the
-     generator's database and on a twin whose base relations have no
-     columnar shadow: Naive and Indexed agree, and the indexed layer's
-     combinations and probes never exceed the naive layer's
+     generator's database and on a twin where every other base relation
+     has [Values] columns: Naive and Indexed agree, and the indexed
+     layer's combinations and probes never exceed the naive layer's
      combinations;
-   - columnar activation: qualifying all-scalar plans actually take the
-     vectorized paths (columnar_ops > 0) and mixed-flavor or
-     disqualified inputs fall back with identical results. *)
+   - columnar activation: qualifying plans actually take the vectorized
+     paths (columnar_ops > 0), and mixed-flavor keys (Int against Real,
+     Null, Bool, tuple- and set-valued cells, an empty operand) give
+     Naive's answer. *)
 
 module Value = Eds_value.Value
 module Vtype = Eds_value.Vtype
@@ -31,6 +33,7 @@ module Database = Eds_engine.Database
 module Eval = Eds_engine.Eval
 module Join_plan = Eds_engine.Join_plan
 module Column = Eds_engine.Column
+module Expr_eval = Eds_engine.Expr_eval
 
 let run_both ?mode db rel =
   let sn = Eval.fresh_stats () and si = Eval.fresh_stats () in
@@ -237,21 +240,22 @@ let qdb () = Gen.db ()
 let gen_plan = Gen.gen_plan
 let print_plan = Gen.print_plan
 
-(* The boxed twin of a database: the first row of every relation holds
-   an equal Real in place of each Int.  Value.compare equates the two,
-   so every plan has the same answer on both, but a column mixing Int
-   and Real has no columnar shadow, so the Indexed layer runs its boxed
-   loops on every base relation of the twin. *)
-let boxed_twin db =
+(* The mixed twin of a database: in every other relation, the first
+   row holds an equal Real in place of each Int.  Value.compare equates
+   the two, so every plan has the same answer on both, but a column
+   mixing Int and Real is a [Values] column, so the random plans join
+   typed against typed, typed against [Values] and [Values] against
+   [Values] keys. *)
+let mixed_twin db =
   let twin = Database.create () in
-  List.iter
-    (fun n ->
+  List.iteri
+    (fun i n ->
       let r = Database.relation db n in
       let realify = function Value.Int i -> Value.Real (float_of_int i) | v -> v in
       let tuples =
         match r.Relation.tuples with
-        | first :: rest -> List.map realify first :: rest
-        | [] -> []
+        | first :: rest when i mod 2 = 0 -> List.map realify first :: rest
+        | tuples -> tuples
       in
       Database.add_relation twin n (Relation.make r.Relation.schema tuples))
     (Database.relation_names db);
@@ -263,78 +267,110 @@ let layers_agree db rel =
   && si.Eval.combinations <= sn.Eval.combinations
   && si.Eval.probes <= sn.Eval.combinations
 
+(* [long_factor]: QCHECK_LONG=1 runs 20x the plans (the CI differential) *)
 let test_random_plans_agree =
   let db = qdb () in
-  let twin = boxed_twin db in
+  let twin = mixed_twin db in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:
-         "naive, boxed/columnar indexed and their counters agree on 250 \
-          random plans"
-       ~count:250 ~print:print_plan gen_plan
+         "naive, typed/mixed indexed and their counters agree on 250 random \
+          plans"
+       ~count:250 ~long_factor:20 ~print:print_plan gen_plan
        (fun (rel, _) ->
          layers_agree db rel
          && layers_agree twin rel
          && Relation.equal (Eval.run db rel) (Eval.run twin rel)))
 
-let test_boxed_twin () =
+let has_values_column rel =
+  Array.exists
+    (fun c -> Column.flavor c = Column.F_values)
+    (Relation.columns rel).Column.cols
+
+let test_mixed_twin () =
   let db = qdb () in
-  let twin = boxed_twin db in
-  List.iter
-    (fun n ->
-      let shadowed d = Relation.columns (Database.relation d n) <> None in
-      Alcotest.(check bool) (n ^ " has a shadow") true (shadowed db);
-      Alcotest.(check bool) (n ^ " twin has none") false (shadowed twin))
+  let twin = mixed_twin db in
+  List.iteri
+    (fun i n ->
+      Alcotest.(check bool) (n ^ " is typed") false
+        (has_values_column (Database.relation db n));
+      Alcotest.(check bool) (n ^ " twin has Values columns") (i mod 2 = 0)
+        (has_values_column (Database.relation twin n)))
     (Database.relation_names db);
-  let join =
+  let join a b =
     Lera.Search
-      ( [ Lera.Base "R0"; Lera.Base "R1" ],
+      ( [ Lera.Base a; Lera.Base b ],
         Lera.eq (Lera.col 1 1) (Lera.col 2 1),
         [ Lera.col 1 2; Lera.col 2 2 ] )
   in
-  let r, s = run_indexed db join and rt, st = run_indexed twin join in
-  Alcotest.(check bool) "same answer" true (Relation.equal r rt);
-  Alcotest.(check bool) "columnar on the generator's database" true
-    (s.Eval.columnar_ops > 0);
-  Alcotest.(check int) "boxed on the twin" 0 st.Eval.columnar_ops
+  List.iter
+    (fun (a, b) ->
+      let q = join a b in
+      let r, s = run_indexed db q and rt, st = run_indexed twin q in
+      let name = a ^ "⋈" ^ b in
+      Alcotest.(check bool) (name ^ ": same answer") true (Relation.equal r rt);
+      Alcotest.(check bool) (name ^ ": columnar on the typed database") true
+        (s.Eval.columnar_ops > 0);
+      Alcotest.(check bool) (name ^ ": columnar on the twin") true
+        (st.Eval.columnar_ops > 0))
+    (List.concat_map
+       (fun a -> List.map (fun b -> (a, b)) (Database.relation_names db))
+       (Database.relation_names db))
 
-(* Join_plan's two executors on the same plan and operands: the same
-   combination set and the same probe and build counts.  Operands are
-   all-Int (one flavor), so the columnar precondition always holds. *)
+(* The executor against the cartesian product on the same operands: it
+   yields exactly the combinations satisfying the qualification, and
+   fires [on_combination] once per combination satisfying the plan's
+   equi conjuncts.  Each operand takes one flavor — Int, Real, Int with
+   a Real first row (a [Values] column), or tuple-valued cells — so
+   edges join typed, [Values] and mismatched flavors. *)
 let gen_join_case =
   let open QCheck2.Gen in
   int_range 2 4 >>= fun n ->
-  list_repeat n (int_range 1 3) >>= fun ars ->
-  let gen_rel ar =
+  list_repeat n (pair (int_range 1 3) (int_range 0 3)) >>= fun ops ->
+  let gen_rel (ar, _) =
     list_size (int_range 1 8) (list_repeat ar (int_range 0 4))
   in
-  flatten_l (List.map gen_rel ars) >>= fun rows ->
+  flatten_l (List.map gen_rel ops) >>= fun rows ->
   let refs =
-    List.concat (List.mapi (fun i ar -> List.init ar (fun j -> (i + 1, j + 1))) ars)
+    List.concat
+      (List.mapi (fun i (ar, _) -> List.init ar (fun j -> (i + 1, j + 1))) ops)
   in
   list_size (int_range 1 4) (pair (oneofl refs) (oneofl refs)) >|= fun eqs ->
-  (ars, rows, eqs)
+  (ops, rows, eqs)
 
-let print_join_case (ars, rows, eqs) =
-  Fmt.str "arities %a rows %a equis %a"
-    Fmt.(Dump.list int) ars
+let print_join_case (ops, rows, eqs) =
+  Fmt.str "operands (arity, flavor) %a rows %a equis %a"
+    Fmt.(Dump.list (Dump.pair int int)) ops
     Fmt.(Dump.list (Dump.list (Dump.list int))) rows
     Fmt.(Dump.list (Dump.pair (Dump.pair int int) (Dump.pair int int))) eqs
 
-let test_executors_agree =
+let cell_of_flavor flavor row v =
+  match flavor with
+  | 0 -> Value.Int v
+  | 1 -> Value.Real (float_of_int v)
+  | 2 -> if row = 0 then Value.Real (float_of_int v) else Value.Int v
+  | _ -> Value.Tuple [ ("a", Value.Int v) ]
+
+let rec cartesian = function
+  | [] -> [ [] ]
+  | (r : Relation.t) :: rest ->
+    List.concat_map
+      (fun tup -> List.map (fun combo -> tup :: combo) (cartesian rest))
+      r.Relation.tuples
+
+let test_executor_matches_cartesian =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
-       ~name:"join executors: boxed and columnar enumerate the same combinations"
-       ~count:300 ~print:print_join_case gen_join_case
-       (fun (ars, rows, eqs) ->
+       ~name:"join executor: naive's filtered cartesian product"
+       ~count:300 ~long_factor:20 ~print:print_join_case gen_join_case
+       (fun (ops, rows, eqs) ->
          let rels =
-           Array.of_list
-             (List.map2
-                (fun ar rs ->
-                  Relation.make
-                    (List.init ar (fun j -> (Fmt.str "C%d" j, Vtype.Int)))
-                    (List.map (List.map (fun v -> Value.Int v)) rs))
-                ars rows)
+           List.map2
+             (fun (ar, flavor) rs ->
+               Relation.make
+                 (List.init ar (fun j -> (Fmt.str "C%d" j, Vtype.Int)))
+                 (List.mapi (fun i -> List.map (cell_of_flavor flavor i)) rs))
+             ops rows
          in
          let q =
            Lera.conj
@@ -342,29 +378,31 @@ let test_executors_agree =
                 (fun ((i, j), (k, l)) -> Lera.eq (Lera.col i j) (Lera.col k l))
                 eqs)
          in
-         let plan = Join_plan.analyze ~operands:(Array.length rels) q in
-         let count () =
-           let c = ref 0 in
-           ((fun () -> incr c), c)
+         let plan = Join_plan.analyze ~operands:(List.length rels) q in
+         let equis =
+           Lera.conj
+             (List.map
+                (fun { Join_plan.left = i, j; right = k, l } ->
+                  Lera.eq (Lera.col i j) (Lera.col k l))
+                plan.Join_plan.equis)
          in
-         let run execute =
-           let on_build, builds = count () and on_probe, probes = count () in
-           let combos = ref [] in
-           execute ~on_build ~on_probe (fun combo -> combos := combo :: !combos);
-           (List.sort (List.compare Relation.compare_tuples) !combos, !builds, !probes)
+         let db = Database.create () in
+         let satisfying q =
+           List.filter
+             (fun combo -> Expr_eval.eval_bool db ~inputs:combo q)
+             (cartesian rels)
          in
-         let tables =
-           Array.map (fun r -> Option.get (Relation.columns r)) rels
-         in
-         Join_plan.columnar_ok plan tables
-         && run (fun ~on_build ~on_probe yield ->
-                Join_plan.execute ~on_build ~on_probe plan rels yield)
-            = run (fun ~on_build ~on_probe yield ->
-                  Join_plan.execute_columnar ~on_build ~on_probe plan tables
-                    (fun rows ->
-                      yield
-                        (List.init (Array.length tables) (fun k ->
-                             Column.tuple_at tables.(k) rows.(k)))))))
+         let combos = ref 0 and out = ref [] in
+         Join_plan.execute db ~on_build:ignore ~on_probe:ignore
+           ~on_combination:(fun () -> incr combos)
+           plan
+           (Array.of_list (List.map Relation.columns rels))
+           (fun combo -> out := combo :: !out);
+         let sorted = List.sort (List.compare Relation.compare_tuples) in
+         List.equal
+           (fun a b -> List.compare Relation.compare_tuples a b = 0)
+           (sorted !out) (sorted (satisfying q))
+         && !combos = List.length (satisfying equis)))
 
 (* -- columnar activation and representation normalization ---------------- *)
 
@@ -406,9 +444,10 @@ let test_columnar_fires () =
   ignore (Eval.run ~physical:Eval.Physical.Naive ~stats:sn db join);
   Alcotest.(check int) "naive never goes columnar" 0 sn.Eval.columnar_ops
 
-(* mixed-flavor operands (Int column vs Real column) must fall back:
-   the packed-key path cannot see Value.compare's Int/Real
-   cross-equality, so parity here proves the flavor gate works *)
+(* mixed-flavor operands (an Int column vs a Real column): the
+   packed-key path cannot see Value.compare's Int/Real cross-equality,
+   so parity here proves that mismatched edges compare through [Values]
+   views *)
 let test_columnar_mixed_flavor () =
   let db = Database.create () in
   let num = [ ("A", Vtype.Int); ("B", Vtype.Int) ] in
@@ -424,7 +463,12 @@ let test_columnar_mixed_flavor () =
         Lera.eq (Lera.col 1 1) (Lera.col 2 1),
         [ Lera.col 1 2; Lera.col 2 2 ] )
   in
+  let flavor_a n = Column.flavor (Relation.columns (Database.relation db n)).Column.cols.(0) in
+  Alcotest.(check bool) "RI.A is Int, RF.A is Real" true
+    (flavor_a "RI" = Column.F_int && flavor_a "RF" = Column.F_float);
   check_agree "Int/Real cross-equality join" db join;
+  Alcotest.(check bool) "the join runs columnar" true
+    ((snd (run_indexed db join)).Eval.columnar_ops > 0);
   check_agree "Int/Real diff" db
     (Lera.Diff
        ( Lera.Project (Lera.Base "RI", [ Lera.col 1 1 ]),
@@ -452,9 +496,9 @@ let test_columnar_mixed_flavor () =
          Lera.eq (Lera.col 1 1) (Lera.col 2 1),
          [ Lera.col 1 2; Lera.col 2 2 ] ))
 
-(* satellite: set operations must re-derive the columnar layout from the
-   result's content — union with an empty or boxed-only side must not
-   drop (or wrongly keep) the shadow *)
+(* set operations must re-derive the columnar layout from the result's
+   content — union with an empty side or one holding a Null must not
+   drop (or wrongly keep) the typed columns *)
 let test_union_layout_normalized () =
   let two = [ ("A", Vtype.Int); ("B", Vtype.Int) ] in
   let ri =
@@ -462,25 +506,119 @@ let test_union_layout_normalized () =
   in
   let re = Relation.empty two in
   let mixed = Relation.make two [ [ Value.Null; Value.Int 9 ] ] in
-  let has_cols r = Relation.columns r <> None in
-  Alcotest.(check bool) "columnar side qualifies" true (has_cols ri);
-  Alcotest.(check bool) "empty side has no shadow" false (has_cols re);
-  Alcotest.(check bool) "empty ∪ columnar keeps the layout" true
-    (has_cols (Relation.union re ri));
-  Alcotest.(check bool) "columnar ∪ empty keeps the layout" true
-    (has_cols (Relation.union ri re));
-  Alcotest.(check bool) "columnar ∪ boxed is boxed (Null present)" false
-    (has_cols (Relation.union ri mixed));
-  Alcotest.(check bool) "boxed ∖ columnar stays boxed" false
-    (has_cols (Relation.diff mixed ri));
-  Alcotest.(check bool) "columnar ∖ boxed keeps the layout" true
-    (has_cols (Relation.diff ri mixed));
+  let typed r = not (has_values_column r) in
+  Alcotest.(check bool) "all-Int side is typed" true (typed ri);
+  Alcotest.(check bool) "empty side has only Values columns" false (typed re);
+  Alcotest.(check bool) "empty ∪ typed keeps the layout" true
+    (typed (Relation.union re ri));
+  Alcotest.(check bool) "typed ∪ empty keeps the layout" true
+    (typed (Relation.union ri re));
+  Alcotest.(check bool) "typed ∪ mixed has a Values column (Null present)" false
+    (typed (Relation.union ri mixed));
+  Alcotest.(check bool) "mixed ∖ typed keeps its Values column" false
+    (typed (Relation.diff mixed ri));
+  Alcotest.(check bool) "typed ∖ mixed is typed" true
+    (typed (Relation.diff ri mixed));
   Alcotest.(check bool) "inter re-derives the layout" true
-    (has_cols (Relation.inter ri ri));
-  (* subset extraction preserves canonical order and the shadow *)
+    (typed (Relation.inter ri ri));
+  (* subset extraction preserves canonical order and the typed layout *)
   let sub = Relation.filteri (fun i _ -> i mod 2 = 0) ri in
   Alcotest.(check int) "filteri keeps the kept rows" 3 (Relation.cardinality sub);
-  Alcotest.(check bool) "filteri result has a shadow" true (has_cols sub)
+  Alcotest.(check bool) "filteri result is typed" true (typed sub)
+
+(* The Fig. 2 film shape: keys no typed column can hold — Null, Bool,
+   tuple-valued and set-valued cells — plus an Int⋈Real edge (typed
+   columns of two flavors, compared through [Values] views) and an
+   empty operand, which the executor must skip before building or
+   probing anything. *)
+let test_values_keys () =
+  let db = Database.create () in
+  let str s = Value.Str s in
+  let producer name country =
+    Value.Tuple [ ("Name", str name); ("Country", str country) ]
+  in
+  let cats l = Value.set (List.map str l) in
+  let add name schema rows = Database.add_relation db name (Relation.make schema rows) in
+  let producer_t = Vtype.Tuple [ ("Name", Vtype.String); ("Country", Vtype.String) ] in
+  add "FILM"
+    [
+      ("Numf", Vtype.Int); ("Title", Vtype.String); ("Categories", Vtype.Set Vtype.String);
+      ("Producer", producer_t); ("Colour", Vtype.Bool); ("Award", Vtype.String);
+    ]
+    [
+      [ Value.Int 1; str "Vertigo"; cats [ "thriller"; "drama" ];
+        producer "Hitchcock" "UK"; Value.Bool true; Value.Null ];
+      [ Value.Int 2; str "Rope"; cats [ "thriller" ]; producer "Hitchcock" "UK";
+        Value.Bool true; str "Oscar" ];
+      [ Value.Int 3; str "Playtime"; cats [ "comedy" ]; producer "Tati" "FR";
+        Value.Bool true; Value.Null ];
+      [ Value.Int 4; str "Metropolis"; cats [ "drama"; "sf" ]; producer "Lang" "DE";
+        Value.Bool false; Value.Null ];
+    ];
+  add "PREF"
+    [ ("Cats", Vtype.Set Vtype.String); ("Viewer", Vtype.String) ]
+    [ [ cats [ "drama"; "thriller" ]; str "ann" ]; [ cats [ "comedy" ]; str "bob" ] ];
+  add "STUDIO"
+    [ ("Producer", producer_t); ("Studio", Vtype.String) ]
+    [ [ producer "Hitchcock" "UK"; str "Paramount" ]; [ producer "Lang" "DE"; str "UFA" ] ];
+  add "STOCK"
+    [ ("Colour", Vtype.Bool); ("Label", Vtype.String) ]
+    [ [ Value.Bool true; str "colour" ]; [ Value.Bool false; str "b&w" ] ];
+  add "AWARD"
+    [ ("Award", Vtype.String); ("Year", Vtype.Real) ]
+    [ [ Value.Null; Value.Real 0. ]; [ str "Oscar"; Value.Real 1948. ] ];
+  add "RATING"
+    [ ("Numf", Vtype.Real); ("Stars", Vtype.Int) ]
+    [ [ Value.Real 1.; Value.Int 5 ]; [ Value.Real 2.; Value.Int 4 ];
+      [ Value.Real 4.; Value.Int 3 ] ];
+  add "NONE" [ ("Numf", Vtype.Int); ("X", Vtype.Int) ] [];
+  let film = Relation.columns (Database.relation db "FILM") in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Fmt.str "FILM column %d is Values" c) true
+        (Column.flavor film.Column.cols.(c) = Column.F_values))
+    [ 2; 3; 4; 5 ];
+  let join ?(q = []) rels edges =
+    Lera.Search
+      ( List.map (fun n -> Lera.Base n) rels,
+        Lera.conj
+          (List.map (fun ((i, j), (k, l)) -> Lera.eq (Lera.col i j) (Lera.col k l)) edges
+          @ q),
+        [ Lera.col 1 2; Lera.col 2 2 ] )
+  in
+  List.iter
+    (fun (name, plan, rows) ->
+      check_agree name db plan;
+      let r, s = run_indexed db plan in
+      Alcotest.(check int) (name ^ ": rows") rows (Relation.cardinality r);
+      Alcotest.(check bool) (name ^ ": columnar executor") true (s.Eval.columnar_ops > 0))
+    [
+      ("set-valued key", join [ "FILM"; "PREF" ] [ ((1, 3), (2, 1)) ], 2);
+      ("tuple-valued key", join [ "FILM"; "STUDIO" ] [ ((1, 4), (2, 1)) ], 3);
+      ("Bool key", join [ "FILM"; "STOCK" ] [ ((1, 5), (2, 1)) ], 4);
+      ("Null key", join [ "FILM"; "AWARD" ] [ ((1, 6), (2, 1)) ], 4);
+      ("Int⋈Real key", join [ "FILM"; "RATING" ] [ ((1, 1), (2, 1)) ], 3);
+      ( "three-way, opaque residual",
+        join
+          ~q:[ Lera.Call ("member", [ Lera.Cst (str "drama"); Lera.col 1 3 ]) ]
+          [ "FILM"; "RATING"; "STOCK" ]
+          [ ((1, 1), (2, 1)); ((1, 5), (3, 1)) ],
+        2 );
+    ];
+  let plan = join [ "FILM"; "NONE" ] [ ((1, 1), (2, 1)) ] in
+  check_agree "empty operand" db plan;
+  let r, s = run_indexed db plan in
+  Alcotest.(check int) "empty operand: no rows" 0 (Relation.cardinality r);
+  Alcotest.(check (list int)) "empty operand: builds, probes, combinations"
+    [ 0; 0; 0 ] [ s.Eval.builds; s.Eval.probes; s.Eval.combinations ];
+  (* the executor itself, handed the empty operand's table *)
+  let calls = ref 0 in
+  let count () = incr calls in
+  Join_plan.execute db ~on_build:count ~on_probe:count ~on_combination:count
+    (Join_plan.analyze ~operands:2 (Lera.eq (Lera.col 1 1) (Lera.col 2 1)))
+    (Array.map (fun n -> Relation.columns (Database.relation db n)) [| "FILM"; "NONE" |])
+    (fun _ -> count ());
+  Alcotest.(check int) "empty operand: the executor fires nothing" 0 !calls
 
 (* -- concurrent first use of a relation's caches --------------------------- *)
 
@@ -500,8 +638,8 @@ let test_caches_race_free () =
     let probe = List.nth tuples 12_345 in
     let worker () =
       (match Relation.columns rel with
-      | Some _ -> ()
-      | None -> Atomic.incr failures
+      | t when t.Column.nrows = 20_000 -> ()
+      | _ -> Atomic.incr failures
       | exception _ -> Atomic.incr failures);
       (match Relation.mem probe rel with
       | true -> ()
@@ -531,6 +669,7 @@ let suite =
       test_union_layout_normalized;
     Alcotest.test_case "relation caches race-free across threads" `Quick
       test_caches_race_free;
-    Alcotest.test_case "boxed twin has no columnar shadow" `Quick test_boxed_twin;
-    test_executors_agree;
+    Alcotest.test_case "mixed twin runs columnar" `Quick test_mixed_twin;
+    test_executor_matches_cartesian;
+    Alcotest.test_case "Values keys and an empty operand" `Quick test_values_keys;
   ]

@@ -309,18 +309,28 @@ let test_wire_basics () =
           Alcotest.check status "help ok" Protocol.Ok st;
           Alcotest.(check bool) "help mentions SAVE" true
             (contains ~affix:"SAVE" payload);
-          (* one unknown command must not drop the connection *)
+          (* one unknown command must not drop the connection, and is
+             not a write *)
+          let write_verb = [ ("verb", "write") ] in
+          let writes = growth ~labels:write_verb "eds_queries_total" in
+          let write_latencies = growth ~labels:write_verb "eds_query_duration_seconds" in
+          let others = growth ~labels:[ ("verb", "other") ] "eds_queries_total" in
           let st, payload = Client.request c "FROB" in
           Alcotest.check status "unknown command errors" Protocol.Error st;
           Alcotest.(check string) "one-line hint"
             "error: unknown command FROB (try HELP)\n" payload;
+          Alcotest.(check (list int)) "FROB: no write counted, one other"
+            [ 0; 0; 1 ] [ writes (); write_latencies (); others () ];
           let st, _ = Client.request c "PING" in
           Alcotest.check status "connection survived" Protocol.Ok st;
-          (* malformed ESQL is a per-line error too *)
+          (* malformed ESQL is a per-line error too, and not a plan-cache
+             miss *)
+          let misses = growth "eds_plan_cache_misses_total" in
           let st, payload = Client.request c "SELECT FROM WHERE" in
           Alcotest.check status "parse error reported" Protocol.Error st;
           Alcotest.(check bool) "error payload prefixed" true
             (String.length payload > 7 && String.sub payload 0 7 = "error: ");
+          Alcotest.(check int) "parse error is no plan-cache miss" 0 (misses ());
           let st, _ = Client.request c "PING" in
           Alcotest.check status "still alive after parse error" Protocol.Ok st;
           (* QUIT closes cleanly *)
@@ -745,6 +755,13 @@ let test_loadtest_concurrent_bit_identical () =
         (Fmt.str "plan-cache hit rate %.2f > 0.5" o.Loadtest.hit_rate)
         true
         (o.Loadtest.hit_rate > 0.5);
+      (* malformed SELECTs mixed in: errors, neither misses nor
+         exclusive entries *)
+      with_client srv (fun c ->
+          List.iter
+            (fun q ->
+              Alcotest.check status q Protocol.Error (fst (Client.request c q)))
+            [ "SELECT FROM WHERE"; "SELECT A FROM"; "SELECT A, FROM BASE WHERE" ]);
       (* the acceptance criterion: SELECTs evaluate against snapshots
          without a lock; on this read-only load only plan-cache misses
          entered the exclusive section, one entry each *)
