@@ -198,7 +198,7 @@ let print_session_stats ?value ppf session =
     (n "session.mviews.delta_tuples");
   let age = value "session.mviews.last_refresh_age_s" in
   if age >= 0. then Fmt.pf ppf "mv last refresh  : %.1fs ago@." age;
-  (match Obs.Profile.current () with
+  (match Session.profile session with
   | None -> ()
   | Some p ->
     let rules = all_rules session in
@@ -272,13 +272,13 @@ let handle_directive ppf session line =
       Fmt.pf ppf "tracing to %s (Chrome trace-event format)@." path);
     `Continue
   | ".profile" ->
-    (match (arg, Obs.Profile.current ()) with
+    (match (arg, Session.profile session) with
     | "on", _ ->
-      Obs.Profile.set_current (Some (Obs.Profile.create ()));
+      Session.set_profile session (Some (Obs.Profile.create ()));
       Fmt.pf ppf "profiling on@."
     | "off", Some p ->
       print_profile ppf session p;
-      Obs.Profile.set_current None
+      Session.set_profile session None
     | "off", None -> Fmt.pf ppf "profiling was already off@."
     | "", Some p -> print_profile ppf session p
     | "report", Some p ->

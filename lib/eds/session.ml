@@ -8,6 +8,7 @@ module Relation = Eds_engine.Relation
 module Database = Eds_engine.Database
 module Materializer = Eds_engine.Materializer
 module Eval = Eds_engine.Eval
+module Cancel = Eds_engine.Cancel
 module Expr_eval = Eds_engine.Expr_eval
 module Ast = Eds_esql.Ast
 module Parser = Eds_esql.Parser
@@ -48,6 +49,8 @@ type t = {
   mutable physical : Eval.Physical.t;
   mutable semantic_constraints : (string * Term.t) list;
   mutable extra_methods : (string * Engine.method_fn) list;
+  mutable profile : Obs.Profile.t option;
+      (** the rule profile every rewrite of this session aggregates into *)
   mviews : Materializer.t;  (** materialized views and their extents *)
   fix_cache : Eval.Shared_fix_cache.t;
       (** cross-statement closed-fixpoint memo, validated per-relation
@@ -81,6 +84,7 @@ let create ?(config = Optimizer.default_config) () =
     physical = Eval.Physical.Indexed;
     semantic_constraints = [];
     extra_methods = [];
+    profile = None;
     mviews = Materializer.create ();
     fix_cache = Eval.Shared_fix_cache.create ();
     last_rewrite_stats = None;
@@ -117,6 +121,8 @@ let set_physical s p =
   Eval.Shared_fix_cache.clear s.fix_cache
 
 let physical s = s.physical
+let set_profile s p = s.profile <- p
+let profile s = s.profile
 
 (* the catalog owns types and ADTs; keep the database's view in sync *)
 let sync s =
@@ -126,7 +132,7 @@ let sync s =
 let make_ctx s =
   Optimizer.make_ctx
     ~semantic_constraints:s.semantic_constraints
-    ~extra_methods:s.extra_methods
+    ~extra_methods:s.extra_methods ?profile:s.profile
     (Catalog.schema_env s.cat)
 
 type result =
@@ -144,9 +150,6 @@ type plan = {
   parse_s : float;
   translate_s : float;
   rewrite_s : float;
-  trace : Obs.event list;
-      (** the trace events emitted while planning this query; empty when
-          tracing is off *)
 }
 
 let wrap_errors f =
@@ -163,8 +166,7 @@ let wrap_errors f =
     error "rule error: %s" (Rule_parser.error_to_string e)
 
 let plan_select ?(parse_s = 0.) s (sel : Ast.select) : plan =
-  let (translated, rewritten, stats, translate_s, rewrite_s), events =
-    Obs.with_collector @@ fun () ->
+  let translated, rewritten, stats, translate_s, rewrite_s =
     let t0 = Obs.now () in
     let translated =
       Obs.span ~cat:"pipeline" "translate" (fun () -> Translate.select s.cat sel)
@@ -190,16 +192,16 @@ let plan_select ?(parse_s = 0.) s (sel : Ast.select) : plan =
   Metrics.Histogram.observe m_rewrite rewrite_s;
   s.last_rewrite_stats <- Some stats;
   { translated; rewritten; rewrite_stats = stats; parse_s; translate_s;
-    rewrite_s; trace = events }
+    rewrite_s }
 
 let snapshot_db s = Database.snapshot s.db
 let data_generation s = Database.data_generation s.db
 
-let run_plan ?stats ?db s rel =
+let run_plan ?stats ?db ?deadline s rel =
   let db = Option.value db ~default:s.db in
   wrap_errors (fun () ->
-      Eval.run ~physical:s.physical ?stats
-        ~fix_cache:s.fix_cache db rel)
+      Eval.run ~physical:s.physical ?stats ~fix_cache:s.fix_cache ?deadline db
+        rel)
 
 let estimate s rel =
   let card name =
@@ -217,9 +219,9 @@ let fix_cache_stats s =
 (* Install a base-relation change together with every maintained
    materialized extent under one publish: readers (and the plan cache,
    which keys on the data generation) see the statement atomically. *)
-let apply_dml s ~table ~before ~after =
+let apply_dml ?deadline s ~table ~before ~after =
   let updates =
-    Materializer.apply s.mviews ~physical:s.physical
+    Materializer.apply s.mviews ~physical:s.physical ?deadline
       ~recompute_cost:(fun rel -> (estimate s rel).Eds_lera.Cost.cost)
       s.db ~table ~before ~after
   in
@@ -278,7 +280,7 @@ let render_analyze s (p : plan) (report : Eval.node_report) rel ~exec_s
   Fmt.flush ppf ();
   Buffer.contents buf
 
-let exec s (stmt : Ast.stmt) : result =
+let exec ?deadline s (stmt : Ast.stmt) : result =
   wrap_errors @@ fun () ->
   Metrics.Counter.incr m_statements;
   let parse_s = s.last_parse_s in
@@ -304,14 +306,16 @@ let exec s (stmt : Ast.stmt) : result =
     Materializer.register s.mviews ~name ~plan ~schema;
     ignore
       (Obs.span ~cat:"pipeline" "materialize" (fun () ->
-           Materializer.initialize s.mviews ~physical:s.physical s.db name));
+           Materializer.initialize s.mviews ~physical:s.physical ?deadline
+             s.db name));
     sync s;
     invalidate_plans s;
     Done
   | Ast.Refresh name -> (
     match
       Obs.span ~cat:"pipeline" "materialize" (fun () ->
-          Materializer.refresh s.mviews ~physical:s.physical s.db name)
+          Materializer.refresh s.mviews ~physical:s.physical ?deadline s.db
+            name)
     with
     | Some _ -> Done
     | None -> error "unknown materialized view %s" name)
@@ -335,7 +339,7 @@ let exec s (stmt : Ast.stmt) : result =
       in
       let before = Database.relation s.db table in
       let after = Relation.make schema (tuple :: before.Relation.tuples) in
-      apply_dml s ~table ~before ~after;
+      apply_dml ?deadline s ~table ~before ~after;
       Inserted 1)
   | Ast.Delete { table; where } -> (
     match Catalog.table s.cat table with
@@ -352,7 +356,7 @@ let exec s (stmt : Ast.stmt) : result =
           (fun tup -> not (Expr_eval.eval_bool s.db ~inputs:[ tup ] qual))
           rel.Relation.tuples
       in
-      apply_dml s ~table ~before:rel ~after:(Relation.make schema keep);
+      apply_dml ?deadline s ~table ~before:rel ~after:(Relation.make schema keep);
       Deleted (List.length drop))
   | Ast.Update { table; assignments; where } -> (
     match Catalog.table s.cat table with
@@ -388,7 +392,7 @@ let exec s (stmt : Ast.stmt) : result =
         else tup
       in
       let rel = Database.relation s.db table in
-      apply_dml s ~table ~before:rel
+      apply_dml ?deadline s ~table ~before:rel
         ~after:(Relation.make schema (List.map update rel.Relation.tuples));
       Updated !touched)
   | Ast.Select_stmt sel ->
@@ -396,7 +400,7 @@ let exec s (stmt : Ast.stmt) : result =
     let t0 = Obs.now () in
     let rel =
       Obs.span ~cat:"pipeline" "execute" (fun () ->
-          Eval.run ~physical:s.physical ~fix_cache:s.fix_cache s.db
+          Eval.run ~physical:s.physical ~fix_cache:s.fix_cache ?deadline s.db
             plan.rewritten)
     in
     Metrics.Histogram.observe m_execute (Obs.now () -. t0);
@@ -410,14 +414,14 @@ let exec s (stmt : Ast.stmt) : result =
       let rel, report =
         Obs.span ~cat:"pipeline" "execute" (fun () ->
             Eval.run_analyzed ~physical:s.physical ~stats
-              ~fix_cache:s.fix_cache s.db plan.rewritten)
+              ~fix_cache:s.fix_cache ?deadline s.db plan.rewritten)
       in
       let exec_s = Obs.now () -. t0 in
       Metrics.Histogram.observe m_execute exec_s;
       Report (render_analyze s plan report rel ~exec_s ~stats)
     end
 
-let exec_string s input =
+let exec_string ?deadline s input =
   wrap_errors (fun () ->
       let t0 = Obs.now () in
       let stmt =
@@ -426,7 +430,7 @@ let exec_string s input =
       let parse_s = Obs.now () -. t0 in
       Metrics.Histogram.observe m_parse parse_s;
       s.last_parse_s <- parse_s;
-      exec s stmt)
+      exec ?deadline s stmt)
 
 let exec_script s input =
   wrap_errors (fun () -> List.map (exec s) (Parser.parse_program input))

@@ -20,6 +20,7 @@ module Relation = Eds_engine.Relation
 module Database = Eds_engine.Database
 module Eval = Eds_engine.Eval
 module Materializer = Eds_engine.Materializer
+module Cancel = Eds_engine.Cancel
 module Ast = Eds_esql.Ast
 module Catalog = Eds_esql.Catalog
 module Rule = Eds_rewriter.Rule
@@ -60,6 +61,13 @@ val set_physical : t -> Eval.Physical.t -> unit
 
 val physical : t -> Eval.Physical.t
 
+val set_profile : t -> Obs.Profile.t option -> unit
+(** The rule profile every subsequent rewrite of this session aggregates
+    into ({!Eds_obs.Obs.Profile}); [None] (the default) turns profiling
+    off.  Plans are unaffected, so the generation does not move. *)
+
+val profile : t -> Obs.Profile.t option
+
 (** {1 Executing ESQL} *)
 
 type result =
@@ -74,9 +82,13 @@ type result =
 exception Session_error of string
 (** Wraps parse, type, schema and evaluation errors with context. *)
 
-val exec : t -> Ast.stmt -> result
-val exec_string : t -> string -> result
-(** One statement. *)
+val exec : ?deadline:Cancel.t -> t -> Ast.stmt -> result
+val exec_string : ?deadline:Cancel.t -> t -> string -> result
+(** One statement.  [deadline] bounds every evaluation the statement
+    runs — a SELECT's, EXPLAIN ANALYZE's, a REFRESH's recompute and the
+    view maintenance of DML — which raises {!Cancel.Timeout} once it
+    expires.  A timed-out statement changes nothing: DML and REFRESH
+    compute before they publish. *)
 
 val exec_script : t -> string -> result list
 (** A [;]-separated script. *)
@@ -94,10 +106,6 @@ type plan = {
   parse_s : float;  (** parse time, when the statement came in as text *)
   translate_s : float;
   rewrite_s : float;
-  trace : Obs.event list;
-      (** trace events captured while planning (translate + rewrite
-          phases, per-block and per-rule spans).  Empty unless a trace
-          sink is installed ({!Eds_obs.Obs.set_sink}). *)
 }
 
 val explain : t -> string -> plan
@@ -148,10 +156,16 @@ val data_generation : t -> int
     Orthogonal to {!generation}, which tracks {e plan-affecting} changes
     only. *)
 
-val run_plan : ?stats:Eval.stats -> ?db:Database.t -> t -> Lera.rel -> Relation.t
-(** Evaluate a rewritten plan with the session's physical layer and
-    domain count.  [db] (default: the live database) lets the caller
-    evaluate against a {!snapshot_db} instead. *)
+val run_plan :
+  ?stats:Eval.stats ->
+  ?db:Database.t ->
+  ?deadline:Cancel.t ->
+  t ->
+  Lera.rel ->
+  Relation.t
+(** Evaluate a rewritten plan with the session's physical layer.  [db]
+    (default: the live database) lets the caller evaluate against a
+    {!snapshot_db} instead; [deadline] bounds the evaluation. *)
 
 val estimate : t -> Lera.rel -> Eds_lera.Cost.t
 (** Static cost estimate against the live base-relation cardinalities. *)

@@ -122,21 +122,6 @@ exception Eval_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Eval_error s)) fmt
 
-(* Cartesian enumeration of operand tuples, counting each complete
-   combination.  Zero operands yield a single empty combination: a search
-   with no inputs is a one-tuple constant relation (used by the magic
-   seed of the Alexander transformation). *)
-let cartesian stats (rels : Relation.t list) (yield : Relation.tuple list -> unit) =
-  let rec go acc = function
-    | [] ->
-      Cancel.tick ();
-      stats.combinations <- stats.combinations + 1;
-      yield (List.rev acc)
-    | (r : Relation.t) :: rest ->
-      List.iter (fun tup -> go (tup :: acc) rest) r.Relation.tuples
-  in
-  go [] rels
-
 let is_false (q : Lera.scalar) =
   match q with
   | Lera.Cst (Eds_value.Value.Bool false) -> true
@@ -336,7 +321,27 @@ type ctx = {
   rvars : (string * Relation.t) list;
   fix_cache : Shared_fix_cache.t;
   analyze : analysis option;  (** [Some] only under {!run_analyzed} *)
+  deadline : Cancel.t option;  (** the request's budget, if it has one *)
 }
+
+(* the cancellation probe of the hot loops: nothing without a deadline *)
+let tick ctx = match ctx.deadline with None -> () | Some d -> Cancel.tick d
+
+(* Cartesian enumeration of operand tuples, counting each complete
+   combination.  Zero operands yield a single empty combination: a search
+   with no inputs is a one-tuple constant relation (used by the magic
+   seed of the Alexander transformation). *)
+let cartesian ctx (rels : Relation.t list) (yield : Relation.tuple list -> unit) =
+  let stats = ctx.stats in
+  let rec go acc = function
+    | [] ->
+      tick ctx;
+      stats.combinations <- stats.combinations + 1;
+      yield (List.rev acc)
+    | (r : Relation.t) :: rest ->
+      List.iter (fun tup -> go (tup :: acc) rest) r.Relation.tuples
+  in
+  go [] rels
 
 (* Whether to take the vectorized paths: the Indexed layer runs every
    equi-join through the columnar executor, and takes the columnar
@@ -353,7 +358,7 @@ let filter_tuples ctx q (ra : Relation.t) =
   let stats = ctx.stats in
   List.filter
     (fun tup ->
-      Cancel.tick ();
+      tick ctx;
       stats.combinations <- stats.combinations + 1;
       Expr_eval.eval_bool ctx.db ~inputs:[ tup ] q)
     ra.Relation.tuples
@@ -390,7 +395,7 @@ let columnar_filter ctx q (ra : Relation.t) =
       let out =
         Relation.filteri
           (fun i _ ->
-            Cancel.tick ();
+            tick ctx;
             stats.combinations <- stats.combinations + 1;
             rows.(0) <- i;
             p rows)
@@ -491,14 +496,14 @@ let collect_joined ctx inputs q f =
       ~on_build:(fun () -> stats.builds <- stats.builds + 1)
       ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
       ~on_combination:(fun () ->
-        Cancel.tick ();
+        tick ctx;
         stats.combinations <- stats.combinations + 1)
       plan
       (Array.of_list (List.map Relation.columns inputs))
       keep;
     stats.columnar_ops <- stats.columnar_ops + 1
   | None ->
-    cartesian stats inputs (fun combo ->
+    cartesian ctx inputs (fun combo ->
         if Expr_eval.eval_bool ctx.db ~inputs:combo q then keep combo));
   !out
 
@@ -531,7 +536,7 @@ let record (d : stats) =
   Metrics.Counter.add m_columnar d.columnar_ops
 
 let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
-    ?(rvars = []) ?fix_cache ?analyze db (r : Lera.rel) : Relation.t =
+    ?(rvars = []) ?fix_cache ?analyze ?deadline db (r : Lera.rel) : Relation.t =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let fix_cache =
     match fix_cache with Some c -> c | None -> Shared_fix_cache.create ()
@@ -539,7 +544,8 @@ let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
   let s0 = copy_stats stats in
   Fun.protect
     ~finally:(fun () -> record (diff_stats stats s0))
-    (fun () -> eval { db; mode; physical; stats; rvars; fix_cache; analyze } r)
+    (fun () ->
+      eval { db; mode; physical; stats; rvars; fix_cache; analyze; deadline } r)
 
 (* With tracing off and no analysis attached this is one load and one
    branch around [eval_node]. *)
@@ -764,7 +770,7 @@ and fixpoint ctx n body =
 
 and naive_fixpoint ctx n body schema =
   let rec iterate current =
-    Cancel.tick ();
+    tick ctx;
     ctx.stats.fix_iterations <- ctx.stats.fix_iterations + 1;
     let next = eval { ctx with rvars = (n, current) :: ctx.rvars } body in
     if Relation.equal next current then current else iterate next
@@ -795,7 +801,7 @@ and seminaive_fixpoint ctx n body schema =
   let rec iterate total delta =
     if Relation.is_empty delta then total
     else begin
-      Cancel.tick ();
+      tick ctx;
       ctx.stats.fix_iterations <- ctx.stats.fix_iterations + 1;
       if Obs.enabled () then
         Obs.instant ~cat:"eval"
@@ -837,8 +843,8 @@ and seminaive_fixpoint ctx n body schema =
   in
   if rec_arms = [] then base else iterate base base
 
-let run ?mode ?physical ?stats ?rvars ?fix_cache db r =
-  run_ctx ?mode ?physical ?stats ?rvars ?fix_cache db r
+let run ?mode ?physical ?stats ?rvars ?fix_cache ?deadline db r =
+  run_ctx ?mode ?physical ?stats ?rvars ?fix_cache ?deadline db r
 
 (* -- report collapse ------------------------------------------------------ *)
 
@@ -891,9 +897,11 @@ and node_of_raw rw =
     children = collapse rw.rw_kids;
   }
 
-let run_analyzed ?mode ?physical ?stats ?rvars ?fix_cache db r =
+let run_analyzed ?mode ?physical ?stats ?rvars ?fix_cache ?deadline db r =
   let a = { an_stack = []; an_roots = [] } in
-  let rel = run_ctx ?mode ?physical ?stats ?rvars ?fix_cache ~analyze:a db r in
+  let rel =
+    run_ctx ?mode ?physical ?stats ?rvars ?fix_cache ~analyze:a ?deadline db r
+  in
   let report =
     match collapse (List.rev a.an_roots) with
     | [ n ] -> n

@@ -108,6 +108,7 @@ val run :
   ?stats:stats ->
   ?rvars:(string * Relation.t) list ->
   ?fix_cache:Shared_fix_cache.t ->
+  ?deadline:Cancel.t ->
   Database.t ->
   Lera.rel ->
   Relation.t
@@ -125,6 +126,10 @@ val run :
     can be reused (validated per-relation against this run's database);
     without it every run memoizes into a fresh one, preserving exact
     counter parity across layers.
+    [deadline] bounds the run: the hot loops {!Cancel.tick} it once per
+    enumerated combination, filtered tuple and fixpoint iteration, so an
+    expired deadline raises {!Cancel.Timeout}; without one nothing is
+    probed.
     Raises {!Eval_error} (or {!Expr_eval.Eval_error}) on ill-formed
     plans.
 
@@ -155,6 +160,7 @@ val run_analyzed :
   ?stats:stats ->
   ?rvars:(string * Relation.t) list ->
   ?fix_cache:Shared_fix_cache.t ->
+  ?deadline:Cancel.t ->
   Database.t ->
   Lera.rel ->
   Relation.t * node_report

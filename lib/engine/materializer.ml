@@ -92,8 +92,8 @@ let unregister t name = t.views <- List.filter (fun v -> v.name <> name) t.views
    per-occurrence variant; never visible to user plans *)
 let delta_name = "__mv_delta"
 
-let eval_with ~physical ~stats ~rvars db rel =
-  Eval.run ~physical ?stats ~rvars db rel
+let eval_with ~physical ~stats ~deadline ~rvars db rel =
+  Eval.run ~physical ?stats ?deadline ~rvars db rel
 
 (* per-occurrence delta variants of [rel] w.r.t. name [d]: variant [i]
    replaces the [i]-th occurrence of [d] by the delta binding and leaves
@@ -199,15 +199,15 @@ let maintenance_cost db ~extent_card changed rel =
 
 (* -- full recompute ------------------------------------------------------ *)
 
-let recompute ~physical ?stats db (v : view) =
+let recompute ~physical ?stats ?deadline db (v : view) =
   Obs.span ~cat:"materialize" ("recompute:" ^ v.name) (fun () ->
-      Eval.run ~physical ?stats db v.plan)
+      Eval.run ~physical ?stats ?deadline db v.plan)
 
-let refresh t ~physical ?stats db name =
+let refresh t ~physical ?stats ?deadline db name =
   match find t name with
   | None -> None
   | Some v ->
-    let extent = recompute ~physical ?stats db v in
+    let extent = recompute ~physical ?stats ?deadline db v in
     Database.add_relation db v.name extent;
     t.stats.refreshes <- t.stats.refreshes + 1;
     t.stats.last_refresh <- Unix.gettimeofday ();
@@ -215,11 +215,11 @@ let refresh t ~physical ?stats db name =
     Some extent
 
 (* initial extent at CREATE MATERIALIZED VIEW time *)
-let initialize t ~physical ?stats db name =
+let initialize t ~physical ?stats ?deadline db name =
   match find t name with
   | None -> invalid_arg ("Materializer.initialize: unknown view " ^ name)
   | Some v ->
-    let extent = recompute ~physical ?stats db v in
+    let extent = recompute ~physical ?stats ?deadline db v in
     Database.add_relation db v.name extent;
     t.stats.last_refresh <- Unix.gettimeofday ();
     extent
@@ -241,7 +241,7 @@ let initialize t ~physical ?stats db name =
    that still has support.  Non-monotone plans (Diff/Nest), changes
    reaching a nested fixpoint, and steps costed above the recompute
    estimate all fall back to a full recompute. *)
-let maintain_view t ~physical ?stats ~recompute_cost scratch ~changed
+let maintain_view t ~physical ?stats ?deadline ~recompute_cost scratch ~changed
     ~old_bindings (v : view) (old_extent : Relation.t) : Relation.t =
   let changed_here =
     List.filter (fun (d, _, _) -> List.mem d v.deps) changed
@@ -253,7 +253,7 @@ let maintain_view t ~physical ?stats ~recompute_cost scratch ~changed
   let fallback () =
     t.stats.fallback_recomputes <- t.stats.fallback_recomputes + 1;
     Metrics.Counter.incr m_fallbacks;
-    recompute ~physical ?stats scratch v
+    recompute ~physical ?stats ?deadline scratch v
   in
   if not (any_plus || any_minus) then old_extent
   else if
@@ -263,10 +263,10 @@ let maintain_view t ~physical ?stats ~recompute_cost scratch ~changed
   else begin
     let schema = v.schema in
     let eval_new extra rel =
-      eval_with ~physical ~stats ~rvars:extra scratch rel
+      eval_with ~physical ~stats ~deadline ~rvars:extra scratch rel
     in
     let eval_old extra rel =
-      eval_with ~physical ~stats
+      eval_with ~physical ~stats ~deadline
         ~rvars:(extra @ old_bindings)
         scratch rel
     in
@@ -434,7 +434,7 @@ let maintain_view t ~physical ?stats ~recompute_cost scratch ~changed
                  against the new state *)
               let rederived =
                 Relation.inter
-                  (eval_with ~physical ~stats ~rvars:[] scratch plan)
+                  (eval_with ~physical ~stats ~deadline ~rvars:[] scratch plan)
                   overdeleted
               in
               Relation.union (Relation.diff old_extent overdeleted) rederived
@@ -451,7 +451,7 @@ let maintain_view t ~physical ?stats ~recompute_cost scratch ~changed
 
 (* -- the DML entry point ------------------------------------------------- *)
 
-let apply t ~physical ?stats ?recompute_cost db ~table ~before ~after :
+let apply t ~physical ?stats ?deadline ?recompute_cost db ~table ~before ~after :
     (string * Relation.t) list =
   let plus = Relation.diff after before in
   let minus = Relation.diff before after in
@@ -486,7 +486,7 @@ let apply t ~physical ?stats ?recompute_cost db ~table ~before ~after :
           | Some old_extent ->
             let new_extent =
               Obs.span ~cat:"materialize" ("maintain:" ^ v.name) (fun () ->
-                  maintain_view t ~physical ?stats ~recompute_cost
+                  maintain_view t ~physical ?stats ?deadline ~recompute_cost
                     scratch ~changed:!changed ~old_bindings:!old_bindings v
                     old_extent)
             in

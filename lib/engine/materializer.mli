@@ -67,8 +67,8 @@ val views : t -> view list
 val initialize :
   t ->
   physical:Eval.Physical.t ->
- 
   ?stats:Eval.stats ->
+  ?deadline:Cancel.t ->
   Database.t ->
   string ->
   Relation.t
@@ -79,19 +79,21 @@ val initialize :
 val refresh :
   t ->
   physical:Eval.Physical.t ->
- 
   ?stats:Eval.stats ->
+  ?deadline:Cancel.t ->
   Database.t ->
   string ->
   Relation.t option
 (** Force a full recompute of one view's extent and install it.
-    [None] if the name is not a registered view. *)
+    [None] if the name is not a registered view.  The database is
+    written only once the extent is computed: a [deadline] that expires
+    (raising {!Cancel.Timeout}) leaves it as it was. *)
 
 val apply :
   t ->
   physical:Eval.Physical.t ->
- 
   ?stats:Eval.stats ->
+  ?deadline:Cancel.t ->
   ?recompute_cost:(Lera.rel -> float) ->
   Database.t ->
   table:string ->
@@ -106,4 +108,4 @@ val apply :
     atomic publish.  [recompute_cost] estimates the cost of fully
     recomputing a plan (the session passes its {!Eds_lera.Cost} based
     estimator); a maintenance step estimated above it falls back to
-    recompute. *)
+    recompute.  Every evaluation of the step ticks [deadline]. *)

@@ -3,9 +3,13 @@
    disabled: the disabled state is the absence of a sink, so every
    instrumentation site is one load and one branch away from doing
    nothing — no event is allocated, no clock is read.  With a sink
-   installed, events flow to pluggable backends: a pretty-text sink, a
-   Chrome trace-event sink (openable in Perfetto / chrome://tracing) and
-   an in-memory sink used to attach traces to query plans. *)
+   installed, events flow to one of two backends: a Chrome trace-event
+   sink (openable in Perfetto / chrome://tracing) or an in-memory sink.
+
+   The sink is the one process-wide cell here, on purpose: only the
+   shell's [.trace-file] / [EDS_TRACE] sets it, and no request changes
+   it.  Per-request state (the rule profile) travels in the rewrite
+   context instead. *)
 
 (* -- a minimal JSON codec ------------------------------------------------ *)
 
@@ -297,25 +301,13 @@ type event =
   | Instant of { name : string; cat : string; ts : float; attrs : attrs }
   | Counter of { name : string; ts : float; value : float }
 
-let event_name = function
-  | Begin e -> e.name
-  | End e -> e.name
-  | Complete e -> e.name
-  | Instant e -> e.name
-  | Counter e -> e.name
-
 type sink = {
   emit : event -> unit;
   flush : unit -> unit;
   close : unit -> unit;  (** finalize the output (e.g. close the JSON array) *)
 }
 
-let null = { emit = ignore; flush = ignore; close = ignore }
-
-(* monotonic-enough wall clock; replaceable for deterministic tests *)
-let clock : (unit -> float) ref = ref Unix.gettimeofday
-let set_clock f = clock := f
-let now () = !clock ()
+let now = Unix.gettimeofday
 
 (* -- the global sink ----------------------------------------------------- *)
 
@@ -329,9 +321,7 @@ let set_sink s =
   | None -> ());
   sink_ref := s
 
-let current_sink () = !sink_ref
 let enabled () = Option.is_some !sink_ref
-let flush () = match !sink_ref with Some s -> s.flush () | None -> ()
 
 let emit e = match !sink_ref with Some s -> s.emit e | None -> ()
 
@@ -384,54 +374,6 @@ let memory_sink () =
     },
     fun () -> List.rev !events )
 
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
-    close =
-      (fun () ->
-        a.close ();
-        b.close ());
-  }
-
-let pp_attrs ppf = function
-  | [] -> ()
-  | attrs ->
-    Fmt.pf ppf " {%a}"
-      (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (k, v) ->
-           Fmt.pf ppf "%s=%s" k (Json.to_string v)))
-      attrs
-
-let pretty_sink ppf =
-  let stack = ref [] in
-  let depth () = List.length !stack in
-  let pad () = String.make (2 * depth ()) ' ' in
-  let emit = function
-    | Begin { name; ts; attrs; _ } ->
-      Fmt.pf ppf "%s> %s%a@." (pad ()) name pp_attrs attrs;
-      stack := (name, ts) :: !stack
-    | End { name; ts; attrs; _ } ->
-      let dur =
-        match !stack with
-        | (_, t0) :: rest ->
-          stack := rest;
-          ts -. t0
-        | [] -> 0.
-      in
-      Fmt.pf ppf "%s< %s (%.3fms)%a@." (pad ()) name (dur *. 1000.) pp_attrs attrs
-    | Complete { name; dur; attrs; _ } ->
-      Fmt.pf ppf "%s= %s (%.3fms)%a@." (pad ()) name (dur *. 1000.) pp_attrs attrs
-    | Instant { name; attrs; _ } -> Fmt.pf ppf "%s* %s%a@." (pad ()) name pp_attrs attrs
-    | Counter { name; value; _ } -> Fmt.pf ppf "%s# %s = %g@." (pad ()) name value
-  in
-  { emit; flush = (fun () -> Format.pp_print_flush ppf ()); close = ignore }
-
 (* Chrome trace-event format (the JSON array variant, one record per
    line, so the file doubles as JSON-Lines after stripping the array
    punctuation).  Loadable in Perfetto and chrome://tracing; the closing
@@ -479,19 +421,6 @@ let trace_sink ?(pid = 1) ?(tid = 1) oc =
   in
   { emit; flush = (fun () -> Stdlib.flush oc); close }
 
-(* run [f] while also recording every event; used to attach the trace of
-   one query to its plan.  Nothing is recorded when tracing is off. *)
-let with_collector f =
-  match !sink_ref with
-  | None -> (f (), [])
-  | Some s ->
-    let mem, events = memory_sink () in
-    sink_ref := Some (tee s mem);
-    let result =
-      Fun.protect ~finally:(fun () -> sink_ref := Some s) f
-    in
-    (result, events ())
-
 (* -- the rule profiler --------------------------------------------------- *)
 
 module Profile = struct
@@ -533,11 +462,6 @@ module Profile = struct
 
   let cells t =
     List.rev_map (fun key -> (key, Hashtbl.find t.cells key)) t.order
-
-  (* the global profile consulted by the engine; [None] = profiling off *)
-  let current_ref : t option ref = ref None
-  let current () = !current_ref
-  let set_current p = current_ref := p
 
   (* Rules that never fired.  [all_rules] (block, rule) pairs extend the
      verdict to rules that were never even attempted — the dead-rule

@@ -6,14 +6,16 @@
     allocation, no clock read.  Installing a sink ({!set_sink}) turns
     the same call sites into event emitters.
 
-    Sinks are pluggable: {!pretty_sink} renders an indented text log,
-    {!trace_sink} writes Chrome trace-event JSON that loads directly in
-    Perfetto or [chrome://tracing], and {!memory_sink} collects events
-    in memory (used to attach a query's trace to its plan).
+    Two sinks exist: {!trace_sink} writes Chrome trace-event JSON that
+    loads directly in Perfetto or [chrome://tracing], and {!memory_sink}
+    collects events in memory.  The installed sink is process-wide: the
+    shell's [.trace-file] and the [EDS_TRACE] variable set it, and no
+    request changes it.
 
-    Rule-level profiling ({!Profile}) is independent of the sinks: the
-    rewrite engine aggregates per-rule attempts/fires/vetoes and
-    condition time into the current profile when one is installed. *)
+    Rule-level profiling ({!Profile}) is independent of the sinks and
+    per request: the rewrite engine aggregates per-rule
+    attempts/fires/vetoes and condition time into the profile its
+    context carries ({!Eds_rewriter.Engine.ctx}), if any. *)
 
 (** Minimal JSON values: encoder, parser and accessors.  Shared by the
     trace sink, the benchmark emitter and the tests (the toolchain has
@@ -53,19 +55,12 @@ type event =
   | Instant of { name : string; cat : string; ts : float; attrs : attrs }
   | Counter of { name : string; ts : float; value : float }
 
-val event_name : event -> string
-
 type sink = {
   emit : event -> unit;
   flush : unit -> unit;
   close : unit -> unit;  (** finalize the output (e.g. close the JSON array) *)
 }
 
-val null : sink
-(** Drops everything.  The default {e disabled} state is equivalent but
-    cheaper (no sink installed at all — see {!set_sink}). *)
-
-val pretty_sink : Format.formatter -> sink
 val trace_sink : ?pid:int -> ?tid:int -> out_channel -> sink
 (** Chrome trace-event format, one record per line inside a JSON array.
     [close] writes the closing bracket; viewers tolerate its absence,
@@ -74,20 +69,13 @@ val trace_sink : ?pid:int -> ?tid:int -> out_channel -> sink
 val memory_sink : unit -> sink * (unit -> event list)
 (** The second component returns the events collected so far, in order. *)
 
-val tee : sink -> sink -> sink
-
-val trace_event_json : ?pid:int -> ?tid:int -> event -> Json.t
-(** One Chrome trace-event record. *)
-
 (** {1 Global sink} *)
 
 val set_sink : sink option -> unit
 (** Install a sink ([None] disables tracing).  The previous sink, if
     any, is flushed and closed. *)
 
-val current_sink : unit -> sink option
 val enabled : unit -> bool
-val flush : unit -> unit
 
 val emit : event -> unit
 (** No-op when disabled. *)
@@ -105,11 +93,6 @@ val instant : ?cat:string -> ?attrs:attrs -> string -> unit
 val complete : ?cat:string -> ?attrs:attrs -> string -> ts:float -> dur:float -> unit
 (** A finished span emitted after the fact (Chrome ["X"] event). *)
 
-val with_collector : (unit -> 'a) -> 'a * event list
-(** Run the thunk while also recording every event it emits (the events
-    still reach the installed sink).  Records nothing — and allocates
-    nothing — when tracing is disabled. *)
-
 (** {1 Counters} *)
 
 val counter : string -> float -> unit
@@ -119,11 +102,8 @@ val counter : string -> float -> unit
 
 (** {1 Clock} *)
 
-val set_clock : (unit -> float) -> unit
-(** Replace the wall clock (deterministic tests).  Defaults to
-    [Unix.gettimeofday]. *)
-
 val now : unit -> float
+(** The wall clock events are stamped with: [Unix.gettimeofday]. *)
 
 (** {1 Rule profiler} *)
 
@@ -147,11 +127,6 @@ module Profile : sig
 
   val cells : t -> ((string * string) * cell) list
   (** In first-use order. *)
-
-  val current : unit -> t option
-  val set_current : t option -> unit
-  (** The profile the rewrite engine aggregates into; [None] turns
-      profiling off (the default). *)
 
   val never_fired : ?all_rules:(string * string) list -> t -> (string * string) list
   (** Dead-rule detection: attempted-but-unfired rules, plus any rule of

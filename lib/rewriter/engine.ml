@@ -19,14 +19,15 @@ type ctx = {
   methods : (string * method_fn) list;
   constraint_preds : (string * constraint_fn) list;
   semantic_constraints : (string * Term.t) list;
+  profile : Obs.Profile.t option;
 }
 
 and method_fn = ctx -> local_env -> Subst.t -> Term.t list -> Subst.t option
 and constraint_fn = ctx -> local_env -> Term.t list -> bool
 
 let ctx ?(methods = []) ?(constraint_preds = []) ?(semantic_constraints = [])
-    schema_env =
-  { schema_env; methods; constraint_preds; semantic_constraints }
+    ?profile schema_env =
+  { schema_env; methods; constraint_preds; semantic_constraints; profile }
 
 let top_env = { input_schemas = None; rvars = [] }
 
@@ -427,13 +428,13 @@ let try_rule c env ~on_check ?tally (rule : Rule.t) t : Term.t option =
   in
   find (Matcher.all ~pattern:rule.Rule.lhs t)
 
-(* One (rule, node) attempt with observability: when a profile is
-   installed, aggregate attempts/fires/vetoes and condition time per
+(* One (rule, node) attempt with observability: when the context carries
+   a profile, aggregate attempts/fires/vetoes and condition time per
    (block, rule); when a trace sink is installed, emit one complete
    event per attempt with its outcome.  When neither is active this is
    exactly [try_rule] — one load and one branch of overhead. *)
 let attempt_rule c env ~on_check ~block_name (rule : Rule.t) t : Term.t option =
-  match Obs.Profile.current (), Obs.enabled () with
+  match c.profile, Obs.enabled () with
   | None, false -> try_rule c env ~on_check rule t
   | profile, traced ->
     let tally =

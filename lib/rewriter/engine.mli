@@ -36,6 +36,8 @@ type ctx = {
   semantic_constraints : (string * Term.t) list;
       (** integrity-constraint templates: type name ↦ predicate over the
           variable [x] (paper §6.1, Figure 10) *)
+  profile : Eds_obs.Obs.Profile.t option;
+      (** the rule profile this rewrite aggregates into, if any *)
 }
 
 and method_fn = ctx -> local_env -> Subst.t -> Term.t list -> Subst.t option
@@ -51,6 +53,7 @@ val ctx :
   ?methods:(string * method_fn) list ->
   ?constraint_preds:(string * constraint_fn) list ->
   ?semantic_constraints:(string * Term.t) list ->
+  ?profile:Eds_obs.Obs.Profile.t ->
   Schema.env ->
   ctx
 

@@ -106,10 +106,11 @@ let program ?(config = default_config) () =
   }
 
 let make_ctx ?(semantic_constraints = []) ?(extra_methods = [])
-    ?(extra_constraints = []) schema_env =
+    ?(extra_constraints = []) ?profile schema_env =
   Engine.ctx
     ~methods:(extra_methods @ Methods.all)
-    ~constraint_preds:extra_constraints ~semantic_constraints schema_env
+    ~constraint_preds:extra_constraints ~semantic_constraints ?profile
+    schema_env
 
 let rewrite_term ?program:prog ?stats ctx t =
   let prog = match prog with Some p -> p | None -> program () in

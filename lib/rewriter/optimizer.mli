@@ -57,9 +57,12 @@ val make_ctx :
   ?semantic_constraints:(string * Term.t) list ->
   ?extra_methods:(string * Engine.method_fn) list ->
   ?extra_constraints:(string * Engine.constraint_fn) list ->
+  ?profile:Eds_obs.Obs.Profile.t ->
   Schema.env ->
   Engine.ctx
-(** Context with the built-in method library; the DBI's extension point. *)
+(** Context with the built-in method library; the DBI's extension point.
+    With a [profile], every rule attempt of a rewrite under this context
+    is aggregated into it ({!Eds_obs.Obs.Profile}). *)
 
 val rewrite :
   ?program:Rule.program ->

@@ -417,17 +417,12 @@ let check_counterexample ?base rule ce =
 
 let liveness_pass ~ctx ~base ~trial_list rules =
   let profile = Obs.Profile.create () in
-  let saved = Obs.Profile.current () in
-  Obs.Profile.set_current (Some profile);
-  Fun.protect
-    ~finally:(fun () -> Obs.Profile.set_current saved)
-    (fun () ->
-      let prog = mount base rules in
-      Array.iter
-        (fun (plan, _db) ->
-          try ignore (Optimizer.rewrite ~program:prog ctx plan)
-          with _ -> ())
-        trial_list);
+  let ctx = { ctx with Engine.profile = Some profile } in
+  let prog = mount base rules in
+  Array.iter
+    (fun (plan, _db) ->
+      try ignore (Optimizer.rewrite ~program:prog ctx plan) with _ -> ())
+    trial_list;
   let fires name =
     match
       List.assoc_opt ("~candidate", name) (Obs.Profile.cells profile)

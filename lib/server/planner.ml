@@ -210,7 +210,7 @@ let plan ?exclusive t text =
   let rel, origin, _ = plan_timed ?exclusive t text in
   (rel, origin)
 
-let execute_timed ?exclusive t text =
+let execute_timed ?exclusive ?deadline t text =
   let t0 = Unix.gettimeofday () in
   let rel, origin, (parse_s, translate_s, rewrite_s) = plan_timed ?exclusive t text in
   let plan_s = Unix.gettimeofday () -. t0 in
@@ -219,7 +219,7 @@ let execute_timed ?exclusive t text =
      writers publish new states without disturbing this query *)
   let db = Session.snapshot_db t.session in
   let t1 = Unix.gettimeofday () in
-  let result = Session.run_plan ~stats ~db t.session rel in
+  let result = Session.run_plan ~stats ~db ?deadline t.session rel in
   let exec_s = Unix.gettimeofday () -. t1 in
   Metrics.Histogram.observe m_execute exec_s;
   Session.count_statement ();

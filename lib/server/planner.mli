@@ -90,10 +90,12 @@ type report = {
 
 val execute_timed :
   ?exclusive:((unit -> Session.Lera.rel) -> Session.Lera.rel) ->
+  ?deadline:Session.Cancel.t ->
   t ->
   string ->
   Session.Relation.t * report
 (** [execute] with the per-phase latency breakdown and work counters the
-    server's slow-query log and latency histograms need. *)
+    server's slow-query log and latency histograms need.  [deadline]
+    bounds the evaluation ({!Session.run_plan}). *)
 
 val cache_stats : t -> Plan_cache.stats

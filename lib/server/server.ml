@@ -163,10 +163,12 @@ let rest_after_token line =
   | Some i -> String.trim (String.sub line i (String.length line - i))
   | None -> ""
 
-let with_budget t f =
+(* a fresh deadline for the configured per-statement budget, started
+   now; no budget, no deadline *)
+let deadline t =
   match t.cfg.query_timeout with
-  | Some budget when budget > 0. -> Cancel.with_timeout budget f
-  | _ -> f ()
+  | Some budget when budget > 0. -> Some (Cancel.start budget)
+  | _ -> None
 
 let render f =
   let buf = Buffer.create 256 in
@@ -243,7 +245,8 @@ let maybe_slow_log t conn_id ~query ~total_s ~cache ~parse_s ~translate_s ~rewri
 let run_select t conn_id line =
   let ts = Obs.now () in
   let rel, r =
-    with_budget t (fun () -> Planner.execute_timed ~exclusive:(exclusive t) t.planner line)
+    Planner.execute_timed ~exclusive:(exclusive t) ?deadline:(deadline t)
+      t.planner line
   in
   let payload = render (fun ppf -> Repl.print_result ppf (Session.Rows rel)) in
   let cache = match r.Planner.origin with `Hit -> "hit" | `Miss -> "miss" in
@@ -268,15 +271,19 @@ let run_write t conn_id line =
      writers then land their frames back-to-back and the group-commit
      leader makes them all durable with one fsync.  The ack still only
      goes out after [sync] returns. *)
-  let mv0 =
-    let m = Session.mv_stats (Planner.session t.planner) in
+  (* view-maintenance deltas are read on both sides of the statement
+     inside the section, so they count this write's maintenance only *)
+  let mv_counts session =
+    let m = Session.mv_stats session in
     Session.Materializer.
       (m.maintenance_runs, m.fallback_recomputes, m.delta_tuples)
   in
-  let payload, commit =
+  let payload, commit, (runs, fallbacks, delta) =
     exclusive t (fun () ->
         let session = Planner.session t.planner in
-        let result = with_budget t (fun () -> Session.exec_string session line) in
+        let runs0, fb0, delta0 = mv_counts session in
+        let result = Session.exec_string ?deadline:(deadline t) session line in
+        let runs1, fb1, delta1 = mv_counts session in
         let commit =
           match (result, t.wal) with
           | (Session.Rows _ | Session.Report _), _ | _, None -> None
@@ -284,21 +291,19 @@ let run_write t conn_id line =
               Some wal ) ->
               Some (wal, Wal.Manager.log_nosync wal line)
         in
-        (render (fun ppf -> Repl.print_result ppf result), commit))
+        ( render (fun ppf -> Repl.print_result ppf result),
+          commit,
+          (runs1 - runs0, fb1 - fb0, delta1 - delta0) ))
   in
   (match commit with
   | Some (wal, watermark) -> Wal.Manager.sync wal watermark
   | None -> ());
   obs_query conn_id ~cache:"write" ~ts;
   let total_s = Obs.now () -. ts in
-  let runs0, fb0, delta0 = mv0 in
-  let m = Session.mv_stats (Planner.session t.planner) in
   maybe_slow_log t conn_id ~query:line ~total_s ~cache:"write" ~parse_s:0.
     ~translate_s:0. ~rewrite_s:0. ~exec_s:total_s ~rows:0
-    ~work:(Eval.fresh_stats ())
-    ~mv_runs:(m.Session.Materializer.maintenance_runs - runs0)
-    ~mv_fallbacks:(m.Session.Materializer.fallback_recomputes - fb0)
-    ~mv_delta:(m.Session.Materializer.delta_tuples - delta0) ();
+    ~work:(Eval.fresh_stats ()) ~mv_runs:runs ~mv_fallbacks:fallbacks
+    ~mv_delta:delta ();
   `Reply (Protocol.Ok, payload)
 
 (* -- the stats table -------------------------------------------------- *)
@@ -548,9 +553,8 @@ let verb_of_line line =
     | _ -> "other"
 
 (* per-line recovery, mirroring the REPL: one bad request must never
-   kill the connection, let alone the server.  [Cancel.clear] backstops
-   the per-statement budget — a deadline that somehow survived its
-   [with_timeout] frame must not poison this thread's next request. *)
+   kill the connection, let alone the server.  A request's deadline
+   lives and dies with the request, so the next one starts clean. *)
 let process t conn_id raw =
   let line = String.trim raw in
   if line = "" then `Reply (Protocol.Ok, "")
@@ -562,9 +566,7 @@ let process t conn_id raw =
       Metrics.Counter.incr (query_counter verb outcome);
       reply
     in
-    match
-      Fun.protect ~finally:Cancel.clear (fun () -> dispatch_line t conn_id line)
-    with
+    match dispatch_line t conn_id line with
     | reply ->
         let outcome =
           match reply with

@@ -160,6 +160,60 @@ let test_recursive_maintenance () =
     "incremental steps happened" true
     ((Session.mv_stats s).Materializer.maintenance_runs > 0)
 
+(* -- unit: a timed-out REFRESH or DML changes nothing --------------------- *)
+
+let test_expired_deadline_changes_nothing () =
+  let s = Session.create () in
+  setup s;
+  create_view ~materialized:true s (List.nth view_pool 1);
+  create_view ~materialized:true s (List.nth view_pool 5);
+  List.iter (exec s)
+    [
+      "INSERT INTO EDGE VALUES (1, 2)"; "INSERT INTO EDGE VALUES (2, 3)";
+      "INSERT INTO EDGE VALUES (3, 4)";
+    ];
+  let db = Session.database s in
+  let extents () =
+    List.map (fun n -> Database.relation_opt db n) [ "EDGE"; "VT"; "VS" ]
+  in
+  let dump0 = Storage.dump s and gen0 = Session.data_generation s in
+  let extents0 = extents () and mv0 = Session.mv_stats s in
+  let refreshes0 = mv0.Materializer.refreshes
+  and runs0 = mv0.Materializer.maintenance_runs in
+  let timed_out stmt =
+    match Session.exec_string ~deadline:(Session.Cancel.start 0.) s stmt with
+    | _ -> false
+    | exception Session.Cancel.Timeout _ -> true
+  in
+  let unchanged ctx =
+    Alcotest.(check string) (ctx ^ ": dump unchanged") dump0 (Storage.dump s);
+    Alcotest.(check int) (ctx ^ ": data generation unchanged") gen0
+      (Session.data_generation s);
+    List.iter2
+      (fun a b ->
+        Alcotest.(check bool) (ctx ^ ": extent is the same record") true
+          (Option.equal ( == ) a b))
+      extents0 (extents ())
+  in
+  (* the recompute of the recursive view enumerates combinations, so a
+     zero budget expires on its first tick *)
+  Alcotest.(check bool) "REFRESH VT times out" true (timed_out "REFRESH VT");
+  unchanged "refresh";
+  Alcotest.(check int) "no refresh counted" refreshes0
+    (Session.mv_stats s).Materializer.refreshes;
+  (* an edge into node 1 joins VT's rows starting at 1: maintenance
+     enumerates combinations and expires before anything is published *)
+  Alcotest.(check bool) "INSERT times out in maintenance" true
+    (timed_out "INSERT INTO EDGE VALUES (0, 1)");
+  unchanged "insert";
+  Alcotest.(check int) "no maintenance run counted" runs0
+    (Session.mv_stats s).Materializer.maintenance_runs;
+  (* without a deadline both statements go through *)
+  exec s "REFRESH VT";
+  exec s "INSERT INTO EDGE VALUES (0, 1)";
+  Alcotest.(check int) "VT closes over the new edge" 10
+    (Relation.cardinality (Session.query s "SELECT VT.A, VT.B FROM VT"))
+
 (* -- unit: non-monotone view falls back to recompute, stays correct ------ *)
 
 let test_nonmonotone_fallback () =
@@ -524,6 +578,8 @@ let suite =
       test_nonrecursive_maintenance;
     Alcotest.test_case "recursive view: semi-naive + delete-rederive" `Quick
       test_recursive_maintenance;
+    Alcotest.test_case "expired deadline: REFRESH and DML change nothing" `Quick
+      test_expired_deadline_changes_nothing;
     Alcotest.test_case "non-monotone view falls back to recompute" `Quick
       test_nonmonotone_fallback;
     Alcotest.test_case "stacked views, one publish per DML" `Quick

@@ -159,46 +159,22 @@ let test_planner_sweeps_stale_generation () =
   Alcotest.(check int) "stale entries swept eagerly" 2 (swept ());
   Alcotest.(check int) "capacity spent on live keys only" 1 st.Plan_cache.size
 
-(* -- cancellation hygiene ------------------------------------------------- *)
+(* -- cancellation ----------------------------------------------------------- *)
 
-let test_cancel_deadline_never_leaks () =
-  (* a Timeout leaves no deadline behind *)
-  Alcotest.(check bool) "timeout fires" true
-    (try
-       Cancel.with_timeout 0.000_001 (fun () ->
-           Thread.delay 0.005;
-           Cancel.tick ();
-           false)
-     with Cancel.Timeout _ -> true);
-  Alcotest.(check bool) "uninstalled after Timeout" false (Cancel.active ());
-  Cancel.tick ();
-  (* nor does any other exception *)
-  (try Cancel.with_timeout 30. (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "uninstalled after exception" false (Cancel.active ());
-  (* nesting restores the outer deadline, and the outermost exit clears *)
-  Cancel.with_timeout 30. (fun () ->
-      Cancel.with_timeout 20. (fun () -> Cancel.tick ());
-      Alcotest.(check bool) "outer deadline restored" true (Cancel.active ()));
-  Alcotest.(check bool) "cleared after outermost exit" false (Cancel.active ());
-  (* the backstop is idempotent and safe with nothing installed *)
-  Cancel.clear ();
-  Cancel.clear ();
-  Cancel.tick ()
-
-(* tick [n] times, yielding now and then so other threads interleave *)
-let tick_n n =
+(* tick [d] [n] times, yielding now and then so other threads interleave *)
+let tick_n d n =
   for i = 1 to n do
-    Cancel.tick ();
+    Cancel.tick d;
     if i mod 1_000 = 0 then Thread.yield ()
   done
 
 let timeout_budget f = try f (); None with Cancel.Timeout b -> Some b
 
 let test_cancel_threads_isolated () =
-  (* both deadlines are installed before either thread ticks, and the
-     expired thread ticks only once the live one is under way: whichever
-     entry comes first in the list, each thread must find its own *)
-  let installed = Atomic.make 0 and batches = Atomic.make 0 in
+  (* both deadlines exist before either thread ticks, and the expired
+     thread ticks only once the live one is under way: each thread's
+     ticks read its own deadline and nothing else *)
+  let started = Atomic.make 0 and batches = Atomic.make 0 in
   let wait_for counter n =
     let t0 = Unix.gettimeofday () in
     while Atomic.get counter < n && Unix.gettimeofday () -. t0 < 5.0 do
@@ -207,82 +183,48 @@ let test_cancel_threads_isolated () =
   in
   let fired = Atomic.make false and spared = Atomic.make false in
   let expired () =
-    try
-      Cancel.with_timeout 0. (fun () ->
-          Atomic.incr installed;
-          wait_for installed 2;
-          wait_for batches 1;
-          tick_n 100_000)
-    with Cancel.Timeout _ -> Atomic.set fired true
+    let d = Cancel.start 0. in
+    Atomic.incr started;
+    wait_for started 2;
+    wait_for batches 1;
+    try tick_n d 100_000 with Cancel.Timeout _ -> Atomic.set fired true
   in
   let live () =
-    Cancel.with_timeout 30. (fun () ->
-        Atomic.incr installed;
-        wait_for installed 2;
-        for _ = 1 to 100 do
-          tick_n 1_000;
-          Atomic.incr batches
-        done);
+    let d = Cancel.start 30. in
+    Atomic.incr started;
+    wait_for started 2;
+    for _ = 1 to 100 do
+      tick_n d 1_000;
+      Atomic.incr batches
+    done;
     Atomic.set spared true
   in
   let threads = [ Thread.create expired (); Thread.create live () ] in
   List.iter Thread.join threads;
   Alcotest.(check bool) "expired thread raised" true (Atomic.get fired);
   Alcotest.(check bool) "live thread ticked 100k times unharmed" true
-    (Atomic.get spared);
-  Alcotest.(check bool) "both deadlines uninstalled" false (Cancel.active ())
+    (Atomic.get spared)
 
 let test_cancel_bounded_overshoot () =
   Alcotest.(check (option (float 0.))) "zero budget fires on the first tick"
     (Some 0.)
-    (timeout_budget (fun () -> Cancel.with_timeout 0. Cancel.tick));
+    (timeout_budget (fun () -> Cancel.tick (Cancel.start 0.)));
   (* the countdown is mid-stride when the deadline passes; the clock is
      still read again within a bounded number of ticks *)
+  let d = Cancel.start 0.2 in
   let late = ref 0 in
   (try
-     Cancel.with_timeout 0.2 (fun () ->
-         tick_n 100;
-         Thread.delay 0.25;
-         while !late < 1_000_000 do
-           incr late;
-           Cancel.tick ()
-         done)
+     tick_n d 100;
+     Thread.delay 0.25;
+     while !late < 1_000_000 do
+       incr late;
+       Cancel.tick d
+     done
    with Cancel.Timeout _ -> ());
   Alcotest.(check bool)
     (Fmt.str "Timeout within 10,000 ticks of expiry (took %d)" !late)
     true
     (!late >= 1 && !late <= 10_000)
-
-let test_cancel_nested_restores_outer () =
-  let outer_fired =
-    timeout_budget (fun () ->
-        Cancel.with_timeout 0.3 (fun () ->
-            Alcotest.(check (option (float 0.))) "inner deadline fires"
-              (Some 0.001)
-              (timeout_budget (fun () ->
-                   Cancel.with_timeout 0.001 (fun () ->
-                       Thread.delay 0.005;
-                       Cancel.tick ())));
-            (* the outer deadline is back, not yet due *)
-            Alcotest.(check bool) "outer deadline restored" true
-              (Cancel.active ());
-            Cancel.tick ();
-            Thread.delay 0.35;
-            tick_n 1_000_000))
-  in
-  Alcotest.(check (option (float 0.))) "outer deadline still fires" (Some 0.3)
-    outer_fired;
-  Alcotest.(check bool) "cleared after outermost exit" false (Cancel.active ())
-
-(* regression: the binding (outer) deadline used to report the inner
-   budget, e.g. "query timeout after 30s" for a 1 ms outer budget *)
-let test_cancel_nested_reports_binding_budget () =
-  Alcotest.(check (option (float 0.))) "outer budget reported" (Some 0.001)
-    (timeout_budget (fun () ->
-         Cancel.with_timeout 0.001 (fun () ->
-             Cancel.with_timeout 30. (fun () ->
-                 Thread.delay 0.005;
-                 Cancel.tick ()))))
 
 (* -- wire protocol ------------------------------------------------------- *)
 
@@ -676,6 +618,90 @@ let with_temp_db f =
         [ db; db ^ ".tmp"; Wal.Manager.wal_path db ])
     (fun () -> f db)
 
+(* a write's slow-log line reports the view maintenance of that write
+   only, even while other writers maintain their own views *)
+let test_slow_log_write_mv_deltas () =
+  let clients = 4 and ops = 36 in
+  let writes i =
+    List.filter_map
+      (fun j ->
+        match Loadtest.mview_op ~index:i j with
+        | `Write w -> Some w
+        | `Shared_read _ | `Private_read _ -> None)
+      (List.init ops Fun.id)
+  in
+  let setup s =
+    for i = 0 to clients - 1 do
+      List.iter (fun d -> ignore (Session.exec_string s d)) (Loadtest.mview_ddl i)
+    done
+  in
+  (* the deltas each statement yields on a lone sequential session *)
+  let expected =
+    let seq = Session.create () in
+    setup seq;
+    let counts () =
+      let m = Session.mv_stats seq in
+      Session.Materializer.(m.maintenance_runs, m.delta_tuples)
+    in
+    List.init clients (fun i ->
+        List.map
+          (fun w ->
+            let r0, d0 = counts () in
+            ignore (Session.exec_string seq w);
+            let r1, d1 = counts () in
+            (w, (r1 - r0, d1 - d0)))
+          (writes i))
+  in
+  let lines = ref [] and lock = Mutex.create () in
+  let sink line = Mutex.protect lock (fun () -> lines := line :: !lines) in
+  let config =
+    { Server.default_config with slow_query_ms = Some 0.; slow_log = Some sink }
+  in
+  (* with an fsync per commit, writers overlap: one waits on its fsync
+     outside the section while others maintain their views *)
+  with_temp_db (fun db ->
+      let s, wal, _ = Wal.Manager.recover ~sync:true ~db () in
+      setup s;
+      with_server ~config ~wal s (fun srv ->
+          let client i () =
+            with_client srv (fun c ->
+                List.iter
+                  (fun w ->
+                    let st, _ = Client.request c w in
+                    Alcotest.check status w Protocol.Ok st)
+                  (writes i))
+          in
+          List.iter Thread.join
+            (List.init clients (fun i -> Thread.create (client i) ())));
+      Wal.Manager.close wal);
+  (* (query, (runs, delta)) of every write line, in capture order; one
+     client's lines arrive in its send order *)
+  let logged =
+    List.filter_map
+      (fun line ->
+        match Eds_obs.Obs.Json.parse line with
+        | Error e -> Alcotest.failf "slow-log line is not JSON (%s): %s" e line
+        | Ok json ->
+            let str k = Option.bind (Eds_obs.Obs.Json.member k json) Eds_obs.Obs.Json.to_str in
+            let int k =
+              Option.value ~default:(-1)
+                (Option.bind (Eds_obs.Obs.Json.member k json) Eds_obs.Obs.Json.to_int)
+            in
+            if str "cache" <> Some "write" then None
+            else
+              Some
+                ( Option.get (str "query"),
+                  (int "mv_maintenance_runs", int "mv_delta_tuples") ))
+      (List.rev !lines)
+  in
+  let line_t = Alcotest.(pair string (pair int int)) in
+  List.iteri
+    (fun i want ->
+      let mine = writes i in
+      let got = List.filter (fun (q, _) -> List.mem q mine) logged in
+      Alcotest.(check (list line_t)) (Fmt.str "client %d write lines" i) want got)
+    expected
+
 let test_wire_wal_crash_recovery () =
   with_temp_db (fun db ->
       let session, handle, _ = Wal.Manager.recover ~sync:false ~db () in
@@ -1032,8 +1058,6 @@ let suite =
       test_database_snapshot_isolation;
     Alcotest.test_case "planner: stale generation swept" `Quick
       test_planner_sweeps_stale_generation;
-    Alcotest.test_case "cancel: deadline never leaks" `Quick
-      test_cancel_deadline_never_leaks;
     Alcotest.test_case "wire: basics and error recovery" `Quick test_wire_basics;
     Alcotest.test_case "wire: bit-identical to local session" `Quick
       test_wire_matches_local_session;
@@ -1047,6 +1071,8 @@ let suite =
       test_wire_stats_reset;
     Alcotest.test_case "slow-query log captures structured lines" `Quick
       test_slow_query_log;
+    Alcotest.test_case "slow log: a write's mv deltas are its own" `Quick
+      test_slow_log_write_mv_deltas;
     Alcotest.test_case "wire: EXPLAIN ANALYZE" `Quick test_wire_explain_analyze;
     Alcotest.test_case "wire: VERIFY RULES gate" `Slow test_wire_verify_rules;
     Alcotest.test_case "timeout kills query, spares connection" `Quick
@@ -1068,10 +1094,6 @@ let suite =
       `Quick test_cancel_threads_isolated;
     Alcotest.test_case "cancel: bounded ticks past expiry" `Quick
       test_cancel_bounded_overshoot;
-    Alcotest.test_case "cancel: nested exit restores the outer deadline" `Quick
-      test_cancel_nested_restores_outer;
-    Alcotest.test_case "cancel: nested timeout reports the binding budget"
-      `Quick test_cancel_nested_reports_binding_budget;
     Alcotest.test_case "timeout on the served Indexed layer" `Quick
       test_indexed_query_timeout;
     Alcotest.test_case "wire: every key perfbench reads is present" `Quick
