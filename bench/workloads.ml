@@ -272,7 +272,8 @@ let join_executor db (q : Lera.rel) =
   let plan = Join_plan.analyze ~operands:(Array.length tables) qual in
   let run tables (s : Eval.stats) =
     let out = ref [] in
-    Join_plan.execute db
+    ignore
+    @@ Join_plan.execute db
       ~on_build:(fun () -> s.Eval.builds <- s.Eval.builds + 1)
       ~on_probe:(fun () -> s.Eval.probes <- s.Eval.probes + 1)
       ~on_combination:(fun () -> s.Eval.combinations <- s.Eval.combinations + 1)

@@ -1,12 +1,13 @@
 (* Typed columnar shadow of a relation plus the two engines that run
    over it: a flat chained hash index (join build/probe, whole-row
-   membership) and a compiler from LERA scalar predicates to
-   allocation-free row predicates.  See column.mli for the contract;
-   the invariant that matters throughout is *flavor purity*: a typed
-   column holds exactly one Value constructor, so cell comparisons
-   reduce to Int.compare / Float.compare / String.compare — the same
-   result Value.compare gives on those constructor pairs.  Every other
-   column is a [Values] column, compared by Value.compare itself. *)
+   membership), cached on the table per key-column list, and a compiler
+   from LERA scalar predicates to allocation-free row predicates.  See
+   column.mli for the contract; the invariant that matters throughout
+   is *flavor purity*: a typed column holds exactly one Value
+   constructor, so cell comparisons reduce to Int.compare /
+   Float.compare / String.compare — the same result Value.compare gives
+   on those constructor pairs.  Every other column is a [Values]
+   column, compared by Value.compare itself. *)
 
 module Value = Eds_value.Value
 module Intern = Eds_value.Intern
@@ -27,11 +28,6 @@ type col =
 
 type flavor = F_int | F_oid | F_id | F_float | F_values
 
-type table = {
-  nrows : int;
-  cols : col array;
-}
-
 let flavor = function
   | Ints _ -> F_int
   | Oids _ -> F_oid
@@ -39,9 +35,175 @@ let flavor = function
   | Floats _ -> F_float
   | Values _ -> F_values
 
+(* -- cell comparison ------------------------------------------------------- *)
+
+let cell_equal ca i cb j =
+  match ca, cb with
+  | Ints a, Ints b | Oids a, Oids b -> a.(i) = b.(j)
+  (* enum labels and strings are cross-equal by label (Value.compare),
+     and both carry interned label ids *)
+  | (Ids a | Enums (_, a)), (Ids b | Enums (_, b)) -> a.(i) = b.(j)
+  | Floats a, Floats b -> Float.compare a.(i) b.(j) = 0
+  | Values a, Values b -> Value.compare a.(i) b.(j) = 0
+  | (Ints _ | Oids _ | Ids _ | Enums _ | Floats _ | Values _), _ -> false
+
+(* Packed int for hashing only (equality always goes through
+   [cell_equal]): equal cells must pack equally, so -0. is normalized
+   to +0. and every NaN to one canonical pattern; the 64->63 bit
+   truncation can only cause extra hash collisions, never missed
+   matches. *)
+let float_key x =
+  if Float.is_nan x then 0x7FF8_0000_0000_0001
+  else Int64.to_int (Int64.bits_of_float (x +. 0.))
+
+let cell_key c i =
+  match c with
+  | Ints a | Oids a | Ids a | Enums (_, a) -> a.(i)
+  | Floats a -> float_key a.(i)
+  | Values a -> Value.hash a.(i)
+
+(* -- flat chained hash index ----------------------------------------------- *)
+
+module Index = struct
+  type t = {
+    key : col array;  (** resolved build-side key columns *)
+    mask : int;
+    heads : int array;
+    next : int array;
+    distinct : int;  (** distinct build keys *)
+  }
+
+  let mix h =
+    let h = h * 0x9E3779B1 in
+    (h lxor (h lsr 16)) land max_int
+
+  (* hash of the build key at row [r]: every key cell is read at [r] *)
+  let hash_build key r =
+    let h = ref 23 in
+    Array.iter (fun c -> h := (!h * 31) + cell_key c r) key;
+    mix !h
+
+  (* hash of a probe key given per-cell rows; folds [cell_key] exactly
+     like [hash_build], so equal cells hash equally across the two *)
+  let hash_probe key rows =
+    let h = ref 23 in
+    for e = 0 to Array.length key - 1 do
+      h := (!h * 31) + cell_key key.(e) rows.(e)
+    done;
+    mix !h
+
+  let bucket_count n =
+    let want = max 16 (2 * n) in
+    let b = ref 16 in
+    while !b < want do
+      b := !b * 2
+    done;
+    !b
+
+  (* build-key equality of rows [r] and [r'] *)
+  let rows_equal key r r' =
+    let nk = Array.length key in
+    let ok = ref true in
+    let e = ref 0 in
+    while !ok && !e < nk do
+      if not (cell_equal key.(!e) r key.(!e) r') then ok := false;
+      incr e
+    done;
+    !ok
+
+  let rec chain_has key next r c =
+    c >= 0 && (rows_equal key r c || chain_has key next r next.(c))
+
+  (* Every row is pushed on its bucket's chain; a row whose key already
+     sits in that chain adds no distinct key.  Equal keys share a
+     bucket and the latest one heads the chain, so the scan usually
+     stops at once. *)
+  let build ?on_build ~nrows:n key =
+    let mask = bucket_count n - 1 in
+    let heads = Array.make (mask + 1) (-1) in
+    let next = Array.make (max 1 n) (-1) in
+    let distinct = ref 0 in
+    for r = 0 to n - 1 do
+      let b = hash_build key r land mask in
+      if not (chain_has key next r heads.(b)) then incr distinct;
+      next.(r) <- heads.(b);
+      heads.(b) <- r;
+      match on_build with Some f -> f () | None -> ()
+    done;
+    { key; mask; heads; next; distinct = !distinct }
+
+  let distinct t = t.distinct
+
+  let matches t key rows r =
+    let nk = Array.length t.key in
+    let ok = ref true in
+    let e = ref 0 in
+    while !ok && !e < nk do
+      if not (cell_equal t.key.(!e) r key.(!e) rows.(!e)) then ok := false;
+      incr e
+    done;
+    !ok
+
+  let rec scan t key rows r =
+    if r < 0 then -1
+    else if matches t key rows r then r
+    else scan t key rows t.next.(r)
+
+  let first t ~key ~rows = scan t key rows t.heads.(hash_probe key rows land t.mask)
+  let next t ~key ~rows r = scan t key rows t.next.(r)
+end
+
+(* -- tables and their index caches ----------------------------------------- *)
+
+(* The indexes built on a table, keyed by their 0-based key-column
+   lists.  The list only grows, and each growth is published with a
+   compare-and-set, so readers on any domain see a consistent list. *)
+type index_cache = (int list * Index.t) list Atomic.t
+
+type table = {
+  nrows : int;
+  cols : col array;
+  indexes : index_cache;
+}
+
+let make nrows cols = { nrows; cols; indexes = Atomic.make [] }
+
 let flavors_equal a b =
   Array.length a.cols = Array.length b.cols
   && Array.for_all2 (fun ca cb -> flavor ca = flavor cb) a.cols b.cols
+
+let rec same_keys a b =
+  match a, b with
+  | [], [] -> true
+  | x :: a, y :: b -> x = y && same_keys a b
+  | [], _ :: _ | _ :: _, [] -> false
+
+let rec find keys = function
+  | [] -> None
+  | (k, idx) :: rest -> if same_keys k keys then Some idx else find keys rest
+
+let cached t keys = find keys (Atomic.get t.indexes)
+let cached_keys t = List.map fst (Atomic.get t.indexes)
+
+(* Concurrent first users may each build; the first to publish wins,
+   and the others take its index (the builds are pure and equal). *)
+let index ?on_build t keys =
+  match cached t keys with
+  | Some idx -> (idx, true)
+  | None ->
+    let idx =
+      Index.build ?on_build ~nrows:t.nrows
+        (Array.of_list (List.map (fun c -> t.cols.(c)) keys))
+    in
+    let rec publish () =
+      let seen = Atomic.get t.indexes in
+      match find keys seen with
+      | Some winner -> winner
+      | None ->
+        if Atomic.compare_and_set t.indexes seen ((keys, idx) :: seen) then idx
+        else publish ()
+    in
+    (publish (), false)
 
 (* -- materializing back to boxed values ------------------------------------ *)
 
@@ -62,6 +224,9 @@ let tuple_at t row =
 let values ~nrows = function
   | Values _ as c -> c
   | c -> Values (Array.init nrows (cell c))
+
+(* a fresh table, so its cache holds no index built on the typed cells *)
+let values_view t = make t.nrows (Array.map (values ~nrows:t.nrows) t.cols)
 
 (* -- building from boxed tuples ------------------------------------------- *)
 
@@ -106,102 +271,7 @@ let of_tuples ~arity nrows tuples =
             cols.(j) <- Values a)
         tup)
     tuples;
-  { nrows; cols }
-
-(* -- cell comparison ------------------------------------------------------- *)
-
-let cell_equal ca i cb j =
-  match ca, cb with
-  | Ints a, Ints b | Oids a, Oids b -> a.(i) = b.(j)
-  (* enum labels and strings are cross-equal by label (Value.compare),
-     and both carry interned label ids *)
-  | (Ids a | Enums (_, a)), (Ids b | Enums (_, b)) -> a.(i) = b.(j)
-  | Floats a, Floats b -> Float.compare a.(i) b.(j) = 0
-  | Values a, Values b -> Value.compare a.(i) b.(j) = 0
-  | (Ints _ | Oids _ | Ids _ | Enums _ | Floats _ | Values _), _ -> false
-
-(* Packed int for hashing only (equality always goes through
-   [cell_equal]): equal cells must pack equally, so -0. is normalized
-   to +0. and every NaN to one canonical pattern; the 64->63 bit
-   truncation can only cause extra hash collisions, never missed
-   matches. *)
-let float_key x =
-  if Float.is_nan x then 0x7FF8_0000_0000_0001
-  else Int64.to_int (Int64.bits_of_float (x +. 0.))
-
-let cell_key c i =
-  match c with
-  | Ints a | Oids a | Ids a | Enums (_, a) -> a.(i)
-  | Floats a -> float_key a.(i)
-  | Values a -> Value.hash a.(i)
-
-(* -- flat chained hash index ----------------------------------------------- *)
-
-module Index = struct
-  type t = {
-    key : col array;  (** resolved build-side key columns *)
-    mask : int;
-    heads : int array;
-    next : int array;
-  }
-
-  let mix h =
-    let h = h * 0x9E3779B1 in
-    (h lxor (h lsr 16)) land max_int
-
-  (* hash of the build key at row [r]: every key cell is read at [r] *)
-  let hash_build key r =
-    let h = ref 23 in
-    Array.iter (fun c -> h := (!h * 31) + cell_key c r) key;
-    mix !h
-
-  (* hash of a probe key given per-cell rows; folds [cell_key] exactly
-     like [hash_build], so equal cells hash equally across the two *)
-  let hash_probe key rows =
-    let h = ref 23 in
-    for e = 0 to Array.length key - 1 do
-      h := (!h * 31) + cell_key key.(e) rows.(e)
-    done;
-    mix !h
-
-  let bucket_count n =
-    let want = max 16 (2 * n) in
-    let b = ref 16 in
-    while !b < want do
-      b := !b * 2
-    done;
-    !b
-
-  let build ?on_build ~nrows:n key =
-    let mask = bucket_count n - 1 in
-    let heads = Array.make (mask + 1) (-1) in
-    let next = Array.make (max 1 n) (-1) in
-    for r = 0 to n - 1 do
-      let b = hash_build key r land mask in
-      next.(r) <- heads.(b);
-      heads.(b) <- r;
-      match on_build with Some f -> f () | None -> ()
-    done;
-    { key; mask; heads; next }
-
-  let matches t key rows r =
-    let nk = Array.length t.key in
-    let ok = ref true in
-    let e = ref 0 in
-    while !ok && !e < nk do
-      if not (cell_equal t.key.(!e) r key.(!e) rows.(!e)) then ok := false;
-      incr e
-    done;
-    !ok
-
-  let rec scan t key rows r =
-    if r < 0 then -1
-    else if matches t key rows r then r
-    else scan t key rows t.next.(r)
-
-  let first t ~key ~rows = scan t key rows t.heads.(hash_probe key rows land t.mask)
-  let next t ~key ~rows r = scan t key rows t.next.(r)
-end
+  make nrows cols
 
 (* -- predicate compiler ---------------------------------------------------- *)
 

@@ -18,6 +18,10 @@
     set-valued attribute still joins on its other columns as typed
     keys.
 
+    A table also caches the hash indexes built on it ({!index}), one
+    per key-column list, so a relation version is indexed once however
+    many queries join it.
+
     The boxed sorted tuple list of {!Relation} stays the canonical
     identity — a table is always {e derived} from it, never the other
     way around, so set semantics, rendering and storage are untouched.
@@ -43,10 +47,19 @@ type col =
 
 type flavor = F_int | F_oid | F_id | F_float | F_values
 
-type table = {
+type index_cache
+(** The hash indexes already built on a table (see {!index}). *)
+
+type table = private {
   nrows : int;
   cols : col array;  (** all of length [nrows] *)
+  indexes : index_cache;
+      (** built on first use, one per key-column list; a table made by
+          {!of_tuples} or {!values_view} starts with none *)
 }
+(** Private, so that every table is made with its own empty cache: a
+    copy with other columns must not inherit indexes built on these
+    ones. *)
 
 val flavor : col -> flavor
 
@@ -62,6 +75,10 @@ val of_tuples : arity:int -> int -> Value.t list list -> table
     cells allow, [Values] columns elsewhere (every column of an empty
     list is an empty [Values]).  Row order is preserved.  Interns every
     string cell of a typed column. *)
+
+val values_view : table -> table
+(** The same cells with every column a [Values] column ({!values}), as
+    a new table with an empty index cache. *)
 
 val value_at : table -> row:int -> col:int -> Value.t
 (** Materialize one cell ([Str] cells share the interned string). *)
@@ -105,7 +122,12 @@ module Index : sig
   val build : ?on_build:(unit -> unit) -> nrows:int -> col array -> t
   (** Index rows [0 .. nrows-1] on the given key columns (each of
       length [nrows]); [on_build] fires once per row inserted (the
-      build-side work counter). *)
+      build-side work counter).  Counts the distinct keys on the way:
+      a row adds one unless an equal key is already in its bucket
+      chain. *)
+
+  val distinct : t -> int
+  (** Number of distinct build keys (the key's NDV). *)
 
   val first : t -> key:col array -> rows:int array -> int
   (** First indexed row whose build-key cells equal the probe cells
@@ -115,6 +137,21 @@ module Index : sig
   (** Next match after a row returned by {!first}/[next], or [-1];
       [key]/[rows] must be unchanged since {!first}. *)
 end
+
+val index : ?on_build:(unit -> unit) -> table -> int list -> Index.t * bool
+(** [index t keys]: the index of [t] on the 0-based key columns [keys]
+    (in that order), and whether it came from [t]'s cache.  The first
+    use builds it ([on_build] fires once per row) and publishes it in
+    the cache with a compare-and-set; concurrent first users from any
+    domain may each build, and all of them get the one published
+    index.  The table is immutable, so a cached index never goes
+    stale: a changed relation is a new table with an empty cache. *)
+
+val cached : table -> int list -> Index.t option
+(** The index {!index} would reuse, without building one. *)
+
+val cached_keys : table -> int list list
+(** The key-column lists of the cached indexes, newest first. *)
 
 (** Compiler from LERA scalar predicates to allocation-free row
     predicates over columnar operands. *)

@@ -296,6 +296,8 @@ type node_report = {
   mutable columnar : bool;
       (** this node itself (exclusive of children) took a columnar fast
           path at least once — the [layout=] tag of EXPLAIN ANALYZE *)
+  mutable join_order : int list;  (** first hash-join run's operand order *)
+  mutable reused : int;  (** cached indexes its hash joins took *)
   mutable children : node_report list;  (** first-execution order *)
 }
 
@@ -304,12 +306,19 @@ type raw_node = {
   rw_rows : int;
   rw_t : float;
   rw_d : stats;  (** inclusive of the children *)
+  rw_choice : Join_plan.choice option;
   rw_kids : raw_node list;
 }
 
+(* one open operator of an analyzed run *)
+type frame = {
+  mutable kids : raw_node list;  (** finished children, reversed *)
+  mutable choice : Join_plan.choice option;
+      (** the join executor's, when it ran for this operator *)
+}
+
 type analysis = {
-  mutable an_stack : raw_node list ref list;
-      (** the finished children of every open operator, reversed *)
+  mutable an_stack : frame list;  (** the open operators, innermost first *)
   mutable an_roots : raw_node list;
 }
 
@@ -492,15 +501,21 @@ let collect_joined ctx inputs q f =
     (* nothing to join: skip even the operands' column builds *)
     ()
   | Some plan ->
-    Join_plan.execute ctx.db
-      ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-      ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
-      ~on_combination:(fun () ->
-        tick ctx;
-        stats.combinations <- stats.combinations + 1)
-      plan
-      (Array.of_list (List.map Relation.columns inputs))
-      keep;
+    let choice =
+      Join_plan.execute ctx.db
+        ~on_build:(fun () -> stats.builds <- stats.builds + 1)
+        ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
+        ~on_combination:(fun () ->
+          tick ctx;
+          stats.combinations <- stats.combinations + 1)
+        plan
+        (Array.of_list (List.map Relation.columns inputs))
+        keep
+    in
+    (* under an analysis, the operator's own frame is the innermost *)
+    (match ctx.analyze with
+    | Some { an_stack = frame :: _; _ } -> frame.choice <- Some choice
+    | Some { an_stack = []; _ } | None -> ());
     stats.columnar_ops <- stats.columnar_ops + 1
   | None ->
     cartesian ctx inputs (fun combo ->
@@ -565,8 +580,8 @@ and eval_framed ctx analyze (r : Lera.rel) : Relation.t =
   let traced = Obs.enabled () in
   let t0 = Obs.now () in
   let s0 = copy_stats ctx.stats in
-  let kids = ref [] in
-  Option.iter (fun a -> a.an_stack <- kids :: a.an_stack) analyze;
+  let frame = { kids = []; choice = None } in
+  Option.iter (fun a -> a.an_stack <- frame :: a.an_stack) analyze;
   if traced then Obs.span_begin ~cat:"eval" name;
   let finish result =
     let d = diff_stats ctx.stats s0 in
@@ -595,11 +610,12 @@ and eval_framed ctx analyze (r : Lera.rel) : Relation.t =
           rw_rows = rows;
           rw_t = Obs.now () -. t0;
           rw_d = d;
-          rw_kids = List.rev !kids;
+          rw_choice = frame.choice;
+          rw_kids = List.rev frame.kids;
         }
       in
       match a.an_stack with
-      | parent :: _ -> parent := raw :: !parent
+      | parent :: _ -> parent.kids <- raw :: parent.kids
       | [] -> a.an_roots <- raw :: a.an_roots)
   in
   match eval_node ctx r with
@@ -857,6 +873,8 @@ let rec merge_node (dst : node_report) (src : node_report) =
   dst.probes <- dst.probes + src.probes;
   dst.builds <- dst.builds + src.builds;
   dst.columnar <- dst.columnar || src.columnar;
+  if dst.join_order = [] then dst.join_order <- src.join_order;
+  dst.reused <- dst.reused + src.reused;
   dst.children <- merge_children dst.children src.children
 
 and merge_children dst src =
@@ -894,6 +912,9 @@ and node_of_raw rw =
     probes = max 0 own.probes;
     builds = max 0 own.builds;
     columnar = own.columnar_ops > 0;
+    join_order =
+      (match rw.rw_choice with Some c -> c.Join_plan.order | None -> []);
+    reused = (match rw.rw_choice with Some c -> c.Join_plan.reused | None -> 0);
     children = collapse rw.rw_kids;
   }
 
@@ -918,6 +939,8 @@ let run_analyzed ?mode ?physical ?stats ?rvars ?fix_cache ?deadline db r =
         probes = 0;
         builds = 0;
         columnar = false;
+        join_order = [];
+        reused = 0;
         children = ns;
       }
   in
@@ -934,6 +957,9 @@ let pp_report ppf root =
     if n.probes > 0 then Fmt.pf ppf " probes=%d" n.probes;
     if n.builds > 0 then Fmt.pf ppf " builds=%d" n.builds;
     if n.tuples_read > 0 then Fmt.pf ppf " read=%d" n.tuples_read;
+    if n.join_order <> [] then
+      Fmt.pf ppf " order=%a reused=%d"
+        Fmt.(list ~sep:(any ",") int) n.join_order n.reused;
     Fmt.pf ppf " layout=%s" (if n.columnar then "columnar" else "boxed");
     Fmt.pf ppf ")@\n";
     List.iter (go (indent + 2)) n.children

@@ -151,6 +151,12 @@ type node_report = {
   mutable columnar : bool;
       (** this node itself (exclusive of children) took a columnar fast
           path at least once — the [layout=] tag of EXPLAIN ANALYZE *)
+  mutable join_order : int list;
+      (** the operand order of this node's first hash-join run
+          ({!Join_plan.choice}), empty when none ran — the [order=] tag *)
+  mutable reused : int;
+      (** cached hash indexes its hash joins took, summed over loops —
+          the [reused=] tag *)
   mutable children : node_report list;  (** first-execution order *)
 }
 

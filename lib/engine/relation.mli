@@ -36,7 +36,8 @@ type t = private {
   index : index memo;  (** hash-set over [tuples], built on first use *)
   cols : Column.table memo;
       (** columnar shadow, derived from [tuples] on first use (see
-          {!Column.of_tuples}) *)
+          {!Column.of_tuples}); the hash indexes joins build on it stay
+          cached there ({!Column.index}), once per relation version *)
 }
 
 val make : Schema.t -> tuple list -> t
@@ -47,7 +48,9 @@ val empty : Schema.t -> t
 
 val with_schema : Schema.t -> t -> t
 (** Retag under a same-arity schema, sharing tuples and the lazy
-    index/columnar caches (all schema-name-independent).  O(1); raises
+    index/columnar caches (all schema-name-independent), so the
+    retagged relation also reuses the shadow's cached hash indexes.
+    O(1); raises
     [Invalid_argument] on arity mismatch. *)
 
 val cardinality : t -> int

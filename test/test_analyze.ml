@@ -142,6 +142,22 @@ let test_recursive_report () =
   Alcotest.(check int) "recursive accounting exact" stats.Eval.combinations
     (report_total (fun n -> n.Eval.combinations) report)
 
+(* the search line names the executor's operand order and the indexes
+   it took from the operand tables' caches: none on the first run, every
+   build side on a repeat *)
+let test_join_choice_rendered () =
+  let s = fig8_session () in
+  let q = "EXPLAIN ANALYZE SELECT R.A, T.B FROM R, S, T WHERE R.J = S.J AND S.K = T.K" in
+  let search_line text =
+    List.find (fun l -> contains ~sub:"search" l) (String.split_on_char '\n' text)
+  in
+  let first = search_line (expect_report s q) in
+  Alcotest.(check bool) ("first run: " ^ first) true
+    (contains ~sub:" order=" first && contains ~sub:" reused=0" first);
+  ignore (expect_report s q);
+  let again = search_line (expect_report s q) in
+  Alcotest.(check bool) ("repeat: " ^ again) true (contains ~sub:" reused=2" again)
+
 let suite =
   [
     Alcotest.test_case "report sums = stats (indexed)" `Quick
@@ -154,4 +170,6 @@ let suite =
     Alcotest.test_case "EXPLAIN rejects non-SELECT" `Quick
       test_explain_rejects_non_select;
     Alcotest.test_case "recursive report accounting" `Quick test_recursive_report;
+    Alcotest.test_case "EXPLAIN ANALYZE shows the join order and reuse" `Quick
+      test_join_choice_rendered;
   ]
