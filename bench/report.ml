@@ -949,7 +949,25 @@ let e4 () =
       metric_bool "e4.param.bit_identical" o.Loadtest.bit_identical;
       metric_int "e4.param.plan_cache.misses" o.Loadtest.cache_misses;
       metric_bool "e4.param.hit_rate_ge_95" (o.Loadtest.hit_rate >= 0.95);
-      metric_float "e4.param.qps" o.Loadtest.qps)
+      metric_float "e4.param.qps" o.Loadtest.qps);
+  (* a view bound against the query's bound (perfbench's V8 shape):
+     which bound the rewrite keeps depends on the literal, so the
+     template plans one guarded variant per side of the view bound —
+     2 misses — and serves every other request from them *)
+  let s = Session.create () in
+  Loadtest.apply_setup s;
+  let srv = Server.start s in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let o = Loadtest.run_guarded ~port:(Server.port srv) ~clients:1 ~per_client:total () in
+      row
+        "  view bound vs query bound, 1 client × %3d: %4d ok, %d misses (one per \
+         side), verified %b@."
+        total o.Loadtest.ok o.Loadtest.cache_misses o.Loadtest.bit_identical;
+      metric_int "e4.guarded.ok" o.Loadtest.ok;
+      metric_bool "e4.guarded.bit_identical" o.Loadtest.bit_identical;
+      metric_int "e4.guarded.plan_cache.misses" o.Loadtest.cache_misses)
 
 (* -- E5: mixed read/write load, lock-free snapshot reads ------------------ *)
 

@@ -15,6 +15,7 @@ module Parser = Eds_esql.Parser
 module Lexer = Eds_esql.Lexer
 module Catalog = Eds_esql.Catalog
 module Translate = Eds_esql.Translate
+module Template = Eds_esql.Template
 module Rule = Eds_rewriter.Rule
 module Rule_parser = Eds_rewriter.Rule_parser
 module Engine = Eds_rewriter.Engine
@@ -129,10 +130,10 @@ let sync s =
   Database.set_types s.db (Catalog.types s.cat);
   Database.set_adts s.db (Catalog.adts s.cat)
 
-let make_ctx s =
+let make_ctx ?params s =
   Optimizer.make_ctx
     ~semantic_constraints:s.semantic_constraints
-    ~extra_methods:s.extra_methods ?profile:s.profile
+    ~extra_methods:s.extra_methods ?profile:s.profile ?params
     (Catalog.schema_env s.cat)
 
 type result =
@@ -147,6 +148,7 @@ type plan = {
   translated : Lera.rel;
   rewritten : Lera.rel;
   rewrite_stats : Engine.stats;
+  guards : Lera.guard list;
   parse_s : float;
   translate_s : float;
   rewrite_s : float;
@@ -166,14 +168,14 @@ let wrap_errors f =
     error "rule error: %s" (Rule_parser.error_to_string e)
 
 let plan_select ?(parse_s = 0.) s (sel : Ast.select) : plan =
-  let translated, rewritten, stats, translate_s, rewrite_s =
+  let translated, rewritten, stats, guards, translate_s, rewrite_s =
     let t0 = Obs.now () in
     let translated =
       Obs.span ~cat:"pipeline" "translate" (fun () -> Translate.select s.cat sel)
     in
     let t1 = Obs.now () in
     if not s.rewriting then
-      (translated, translated, Engine.fresh_stats (), t1 -. t0, 0.)
+      (translated, translated, Engine.fresh_stats (), [], t1 -. t0, 0.)
     else begin
       let stats = Engine.fresh_stats () in
       let program =
@@ -181,17 +183,20 @@ let plan_select ?(parse_s = 0.) s (sel : Ast.select) : plan =
           Optimizer.program ~config:(Optimizer.adaptive_config translated) ()
         else s.rule_program
       in
+      (* a template is planned with its literals: the rewrite reads
+         them through guards *)
+      let ctx = make_ctx ~params:(Template.values sel) s in
       let rewritten =
         Obs.span ~cat:"pipeline" "rewrite" (fun () ->
-            Optimizer.rewrite ~program ~stats (make_ctx s) translated)
+            Optimizer.rewrite ~program ~stats ctx translated)
       in
-      (translated, rewritten, stats, t1 -. t0, Obs.now () -. t1)
+      (translated, rewritten, stats, Engine.guards ctx, t1 -. t0, Obs.now () -. t1)
     end
   in
   Metrics.Histogram.observe m_translate translate_s;
   Metrics.Histogram.observe m_rewrite rewrite_s;
   s.last_rewrite_stats <- Some stats;
-  { translated; rewritten; rewrite_stats = stats; parse_s; translate_s;
+  { translated; rewritten; rewrite_stats = stats; guards; parse_s; translate_s;
     rewrite_s }
 
 let snapshot_db s = Database.snapshot s.db

@@ -103,6 +103,10 @@ type plan = {
   translated : Lera.rel;  (** canonical LERA straight out of translation *)
   rewritten : Lera.rel;  (** after the rule program *)
   rewrite_stats : Engine.stats;
+  guards : Lera.guard list;
+      (** the parameter reads the rewrite made ({!Engine.guards}): a
+          template's [rewritten] plan serves exactly the bindings that
+          satisfy them all; empty without parameters *)
   parse_s : float;  (** parse time, when the statement came in as text *)
   translate_s : float;
   rewrite_s : float;
@@ -120,7 +124,8 @@ val plan_ast : ?parse_s:float -> t -> Ast.select -> plan
 (** Translate and rewrite a parsed SELECT.  A template carrying
     {!Eds_esql.Ast.Param} slots plans to a generic plan with
     {!Lera.Param} parameters, which must be {!Lera.bind}ed before
-    evaluation. *)
+    evaluation.  The rewrite reads the slots' literals
+    ({!Eds_esql.Template.values}) and records each read in [guards]. *)
 
 (** {1 Observability}
 

@@ -43,6 +43,20 @@ let erase s =
   let template = map_select slot s in
   (template, Array.of_list (List.rev !values))
 
+let values s =
+  let slots = ref [] in
+  ignore
+    (map_select
+       (function
+         | Ast.Param (i, v) as e ->
+           slots := (i, v) :: !slots;
+           e
+         | e -> e)
+       s);
+  let values = Array.make (List.fold_left (fun n (i, _) -> max n i) 0 !slots) Value.Null in
+  List.iter (fun (i, v) -> values.(i - 1) <- v) !slots;
+  values
+
 let pin slots s =
   map_select
     (function Ast.Param (i, v) when List.mem i slots -> Ast.Lit v | e -> e)

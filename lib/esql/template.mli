@@ -18,6 +18,11 @@ val erase : Ast.select -> Ast.select * Value.t array
     slot [i]).  Erasing a SELECT whose literals differ only in value
     yields the same template. *)
 
+val values : Ast.select -> Value.t array
+(** The literal each slot of a template holds: [values.(i-1)] for slot
+    [i] (a pinned slot reads [Null]).  On {!erase}'s template this is
+    the array it returned. *)
+
 val pin : int list -> Ast.select -> Ast.select
 (** Turn the listed slots back into the literals they hold.  Used for a
     slot whose translation depends on its value: the literal then stays

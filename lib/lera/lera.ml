@@ -202,6 +202,33 @@ let rec bind_scalar values s =
 
 let bind values r = map_rel_scalars (bind_scalar values) r
 
+(* -- guards ------------------------------------------------------------ *)
+
+type guard = { op : string; args : scalar * scalar; outcome : bool }
+
+let compare_values adts op a b =
+  match Eds_value.Adt.apply adts op [ a; b ] with
+  | Value.Bool r -> r
+  | _ -> false
+  | exception _ -> false
+
+let guard_holds adts values g =
+  let value = function
+    | Cst v -> Some v
+    | Param (i, _) when i >= 1 && i <= Array.length values -> Some values.(i - 1)
+    | Param _ | Col _ | Call _ -> None
+  in
+  let a, b = g.args in
+  match value a, value b with
+  | Some a, Some b -> compare_values adts g.op a b = g.outcome
+  | _ -> false
+
+let equal_guard g g' =
+  String.equal g.op g'.op
+  && equal_scalar (fst g.args) (fst g'.args)
+  && equal_scalar (snd g.args) (snd g'.args)
+  && g.outcome = g'.outcome
+
 let params r =
   let rec scalar acc = function
     | Param (i, _) -> i :: acc
@@ -307,4 +334,3 @@ let pp_tree ppf root =
   go 0 root
 
 let to_string r = Fmt.str "%a" pp r
-let scalar_to_string s = Fmt.str "%a" pp_scalar s

@@ -68,11 +68,10 @@ val col : int -> int -> scalar
 val equal_scalar : scalar -> scalar -> bool
 val equal : rel -> rel -> bool
 
-val hash_scalar : scalar -> int
 val hash : rel -> int
-(** Structural hashes compatible with {!equal_scalar}/{!equal} — equal
-    terms hash equally, so terms can key hashtables (the evaluator's
-    closed-fixpoint memo). *)
+(** Structural hash compatible with {!equal} — equal terms hash
+    equally, so terms can key hashtables (the evaluator's closed-fixpoint
+    memo). *)
 
 val operator_count : rel -> int
 (** Number of algebra operators — the Figure-7 "size of a LERA program"
@@ -94,10 +93,6 @@ val obviously_empty : rel -> bool
 val inputs : rel -> rel list
 (** Direct relational operands of an operator. *)
 
-val map_scalars : (scalar -> scalar) -> rel -> rel
-(** Rewrite every qualification/projection scalar of the {e root} operator
-    (not recursive). *)
-
 (** {1 Template parameters} *)
 
 val bind : Value.t array -> rel -> rel
@@ -106,6 +101,29 @@ val bind : Value.t array -> rel -> rel
 val params : rel -> int list
 (** The slots of the parameters occurring in [r], ascending, without
     duplicates. *)
+
+(** {1 Guards}
+
+    Planning a template reads its parameters' values through the
+    planning request's literals (DESIGN.md decision 17).  Each read is
+    a guard: the generic plan it produced serves exactly the bindings
+    on which every guard gives the recorded outcome again. *)
+
+type guard = { op : string; args : scalar * scalar; outcome : bool }
+(** The comparison [op] (["="], ["<"], ...) of [args], each a
+    {!Param} or a {!Cst}, gave [outcome] on the planning literals. *)
+
+val compare_values : Eds_value.Adt.registry -> string -> Value.t -> Value.t -> bool
+(** The comparison [op] through the ADT registry: [true] only when it
+    yields the boolean [true] (an error or a non-boolean is [false]).
+    The rewriter's constraints read values with it, and {!guard_holds}
+    checks with it, so a check repeats the read exactly. *)
+
+val guard_holds : Eds_value.Adt.registry -> Value.t array -> guard -> bool
+(** Does the read give the recorded outcome on these literals (slot [i]
+    is [values.(i-1)])?  A parameter with no literal fails the check. *)
+
+val equal_guard : guard -> guard -> bool
 
 (** {1 Pretty printing (paper concrete syntax)} *)
 
@@ -118,4 +136,3 @@ val pp_tree : Format.formatter -> rel -> unit
     large plans the magic transformation produces. *)
 
 val to_string : rel -> string
-val scalar_to_string : scalar -> string

@@ -20,14 +20,26 @@ type ctx = {
   constraint_preds : (string * constraint_fn) list;
   semantic_constraints : (string * Term.t) list;
   profile : Obs.Profile.t option;
+  params : Value.t array;
+  guards : Lera.guard list ref;
 }
 
 and method_fn = ctx -> local_env -> Subst.t -> Term.t list -> Subst.t option
 and constraint_fn = ctx -> local_env -> Term.t list -> bool
 
 let ctx ?(methods = []) ?(constraint_preds = []) ?(semantic_constraints = [])
-    ?profile schema_env =
-  { schema_env; methods; constraint_preds; semantic_constraints; profile }
+    ?profile ?(params = [||]) schema_env =
+  {
+    schema_env;
+    methods;
+    constraint_preds;
+    semantic_constraints;
+    profile;
+    params;
+    guards = ref [];
+  }
+
+let guards c = List.rev !(c.guards)
 
 let top_env = { input_schemas = None; rvars = [] }
 
@@ -167,14 +179,51 @@ let term_type c env (t : Term.t) : Vtype.t option =
 
 let comparison_ops = [ "="; "<>"; "<"; "<="; ">"; ">=" ]
 
-(* Template parameters (Lera.Param) stand for values fixed per execution
-   but unknown while planning, so a built-in may never read one: every
-   rewrite step taken on a template must hold for all its bindings.
-   [settled_equal a b] is term equality as a rule may rely on it —
-   [Some eq] when the answer is [eq] whatever the parameters hold, [None]
-   when it depends on their values: two different parameters, or a
-   parameter and a constant, may hold the same value.  Without
-   parameters it is exactly [Term.equal]. *)
+(* Template parameters (Lera.Param) stand for values fixed per execution.
+   A template is planned with the literals of the request that planned
+   it ([c.params]), and a built-in that reads a parameter's value records
+   the read as a guard: the comparison, its operands and its outcome.
+   Every rewrite step taken on the template then holds for exactly the
+   bindings that give every guard its recorded outcome again
+   (DESIGN.md decision 17). *)
+
+(* the scalar a constraint operand denotes and its value: a constant, or
+   a parameter through the planning literals *)
+let literal c (t : Term.t) =
+  match t with
+  | Term.Cst v -> Some (Lera.Cst v, v)
+  | Term.App _ when Lera_term.is_param t -> (
+    match Lera_term.scalar_of_term t with
+    | Lera.Param (i, _) as p when i >= 1 && i <= Array.length c.params ->
+      Some (p, c.params.(i - 1))
+    | _ -> None)
+  | _ -> None
+
+let record c g =
+  if not (List.exists (Lera.equal_guard g) !(c.guards)) then c.guards := g :: !(c.guards)
+
+(* [op a b] on two literal operands, recording a guard when one of them
+   is a parameter; false when an operand is no literal *)
+let read c op a b =
+  match literal c a, literal c b with
+  | Some (sa, va), Some (sb, vb) ->
+    let outcome = Lera.compare_values c.schema_env.Schema.adts op va vb in
+    (match sa, sb with
+    | Lera.Cst _, Lera.Cst _ -> ()
+    | _ -> record c { Lera.op; args = (sa, sb); outcome });
+    outcome
+  | _ -> false
+
+(* the constants and parameters of a term, left to right; column
+   references hold none *)
+let rec value_leaves acc (t : Term.t) =
+  match t with
+  | Term.App ("@", _) -> acc
+  | Term.Cst _ -> t :: acc
+  | Term.App _ when Lera_term.is_param t -> t :: acc
+  | Term.App (_, args) | Term.Coll (_, args) -> List.fold_left value_leaves acc args
+  | Term.Var _ | Term.Cvar _ -> acc
+
 let rec blur_values (t : Term.t) : Term.t =
   match t with
   | Term.App ("@", _) -> t
@@ -184,13 +233,23 @@ let rec blur_values (t : Term.t) : Term.t =
   | Term.Coll (k, args) -> Term.Coll (k, List.map blur_values args)
   | Term.Var _ | Term.Cvar _ -> t
 
-let settled_equal a b =
-  if Term.equal a b then Some true
-  else if
-    (Lera_term.has_param a || Lera_term.has_param b)
-    && Term.equal (blur_values a) (blur_values b)
-  then None
-  else Some false
+(* Term equality as a rule may rely on it: two terms that differ only in
+   parameters and constants are equal when their leaves are, which reads
+   each parameter leaf's value ([=], exactly as [Term.equal] compares
+   constants).  Without parameters it is exactly [Term.equal]. *)
+let settled_equal c a b =
+  Term.equal a b
+  || (Lera_term.has_param a || Lera_term.has_param b)
+     && Term.equal (blur_values a) (blur_values b)
+     &&
+     let pairs = List.combine (value_leaves [] a) (value_leaves [] b) in
+     let fixed, open_ =
+       List.partition
+         (function Term.Cst _, Term.Cst _ -> true | _ -> false)
+         pairs
+     in
+     List.for_all (fun (x, y) -> Term.equal x y) fixed
+     && List.for_all (fun (x, y) -> read c "=" x y) open_
 
 let rec eval_constraint c env (t : Term.t) : bool =
   match t with
@@ -201,18 +260,17 @@ let rec eval_constraint c env (t : Term.t) : bool =
     List.exists (eval_constraint c env) cs
   | Term.App ("not", [ a ]) -> not (eval_constraint c env a)
   | Term.App (op, args)
-    when List.mem op comparison_ops && List.exists Lera_term.has_param args ->
-    (* a comparison would read the parameter's value: veto *)
-    false
-  | Term.App (op, [ Term.Cst a; Term.Cst b ]) when List.mem op comparison_ops -> (
-    match Adt.apply c.schema_env.Schema.adts op [ a; b ] with
-    | Value.Bool r -> r
-    | _ -> false
-    | exception _ -> false)
+    when List.mem op comparison_ops && List.exists Lera_term.has_param args -> (
+    match args with
+    | [ a; b ] -> read c op a b
+    | _ -> false)
+  | Term.App (op, [ (Term.Cst _ as a); (Term.Cst _ as b) ])
+    when List.mem op comparison_ops ->
+    read c op a b
   | Term.App ("isa", [ a; ty ]) -> constraint_isa c env a ty
   | Term.App ("notin", a :: members) ->
-    List.for_all (fun m -> settled_equal a m = Some false) members
-  | Term.App ("distinct", [ a; b ]) -> settled_equal a b = Some false
+    List.for_all (fun m -> not (settled_equal c a m)) members
+  | Term.App ("distinct", [ a; b ]) -> not (settled_equal c a b)
   | Term.App ("nonempty", [ Term.Coll (_, elems) ]) ->
     (* a lone collection argument is a matched collection term (a variable
        bound to list(…), set(…), …): test its elements, not the fact that
@@ -253,8 +311,10 @@ and constraint_isa c env a ty =
   in
   match type_name with
   | None -> false
-  (* a parameter is not a constant: its value is unknown while planning *)
-  | Some "constant" -> ( match a with Term.Cst _ -> true | _ -> false)
+  (* a parameter is a constant of every execution, whatever its value:
+     no read *)
+  | Some "constant" -> (
+    match a with Term.Cst _ -> true | _ -> Lera_term.is_param a)
   | Some (("set" | "bag" | "list" | "array" | "collection" | "tuple") as kind) -> (
     let value_is v =
       match v, kind with
@@ -347,7 +407,8 @@ and constraint_refer_only quals prefix group =
 
 (* not_in_domain(k, col): k is a constant whose value cannot belong to the
    enumeration domain of col's element type — the MEMBER('Cartoon', …)
-   inconsistency of §6.1.  A parameter is no [Term.Cst], so it vetoes. *)
+   inconsistency of §6.1.  A parameter is no [Term.Cst], so it vetoes
+   whatever its value: no read, no guard. *)
 and constraint_not_in_domain c env k col =
   match k, term_type c env col with
   | Term.Cst kv, Some ty -> (

@@ -38,6 +38,11 @@ type ctx = {
           variable [x] (paper §6.1, Figure 10) *)
   profile : Eds_obs.Obs.Profile.t option;
       (** the rule profile this rewrite aggregates into, if any *)
+  params : Eds_value.Value.t array;
+      (** the planning request's literals: template parameter [$i] reads
+          [params.(i-1)] *)
+  guards : Eds_lera.Lera.guard list ref;
+      (** every read of a parameter's value so far, newest first *)
 }
 
 and method_fn = ctx -> local_env -> Subst.t -> Term.t list -> Subst.t option
@@ -54,8 +59,16 @@ val ctx :
   ?constraint_preds:(string * constraint_fn) list ->
   ?semantic_constraints:(string * Term.t) list ->
   ?profile:Eds_obs.Obs.Profile.t ->
+  ?params:Eds_value.Value.t array ->
   Schema.env ->
   ctx
+(** A fresh context: no guard recorded yet.  [params] defaults to none
+    (a plan without parameters). *)
+
+val guards : ctx -> Eds_lera.Lera.guard list
+(** The parameter reads made under this context, oldest first, without
+    duplicates.  A template's rewrite depends on its literals only
+    through these (DESIGN.md decision 17). *)
 
 val top_env : local_env
 
@@ -124,7 +137,12 @@ val eval_constraint : ctx -> local_env -> Term.t -> bool
     [distinct(a, b)], [nonempty(…)], [ground(t)], [pred(f)],
     [refer_only(list(quals), list(prefix), group)], [empty_rel(r)] and
     [not_in_domain(k, col)]; anything else is looked up in
-    [ctx.constraint_preds] and is false when unknown. *)
+    [ctx.constraint_preds] and is false when unknown.
+
+    A template parameter is a constant fixed per execution: [isa(p,
+    constant)] holds, and a comparison or a [distinct]/[notin] equality
+    that involves one reads its value from [ctx.params] and records a
+    guard in [ctx.guards].  [not_in_domain] never reads one. *)
 
 val apply_rule_at : ctx -> local_env -> Rule.t -> Term.t -> Term.t option
 (** Try one rule at the root of a term: first match whose constraints
@@ -145,8 +163,6 @@ val run : ctx -> ?stats:stats -> Rule.program -> Term.t -> Term.t
     (with a binding limit the engines may spend the budget differently,
     because the reference engine re-checks conditions the indexed engine
     never re-visits). *)
-
-val run_block_reference : ctx -> ?stats:stats -> Rule.block -> Term.t -> Term.t
 
 val run_reference : ctx -> ?stats:stats -> Rule.program -> Term.t -> Term.t
 (** The straightforward engine: restart from the root after every

@@ -106,10 +106,10 @@ let program ?(config = default_config) () =
   }
 
 let make_ctx ?(semantic_constraints = []) ?(extra_methods = [])
-    ?(extra_constraints = []) ?profile schema_env =
+    ?(extra_constraints = []) ?profile ?params schema_env =
   Engine.ctx
     ~methods:(extra_methods @ Methods.all)
-    ~constraint_preds:extra_constraints ~semantic_constraints ?profile
+    ~constraint_preds:extra_constraints ~semantic_constraints ?profile ?params
     schema_env
 
 let rewrite_term ?program:prog ?stats ctx t =

@@ -58,11 +58,13 @@ val make_ctx :
   ?extra_methods:(string * Engine.method_fn) list ->
   ?extra_constraints:(string * Engine.constraint_fn) list ->
   ?profile:Eds_obs.Obs.Profile.t ->
+  ?params:Eds_value.Value.t array ->
   Schema.env ->
   Engine.ctx
 (** Context with the built-in method library; the DBI's extension point.
     With a [profile], every rule attempt of a rewrite under this context
-    is aggregated into it ({!Eds_obs.Obs.Profile}). *)
+    is aggregated into it ({!Eds_obs.Obs.Profile}).  [params] are the
+    literals a template is planned with ({!Engine.ctx}). *)
 
 val rewrite :
   ?program:Rule.program ->

@@ -46,16 +46,6 @@ val program : ?rounds:int -> block list -> program
     constructor, and {!candidates} returns the (usually much shorter)
     list of rules whose lhs could possibly match a given subject term. *)
 
-type head_key =
-  | Head of string  (** application with a concrete head symbol *)
-  | Any_app  (** application with a function-variable head (F, G, … of Figure 6) *)
-  | Coll_head of Term.ckind
-  | Cst_head
-  | Wildcard  (** variable lhs: compatible with every subject *)
-
-val head_key : Term.t -> head_key
-(** Dispatch key of a rule lhs. *)
-
 type compiled
 
 val compile : block -> compiled

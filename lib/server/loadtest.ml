@@ -681,6 +681,34 @@ let run_param ?(host = "127.0.0.1") ?(physical = Session.Eval.Physical.Indexed) 
         ~op:(fun ~index j -> `Private_read (param_query ~per_client ~index j))
         ~per_client ~index:i w)
 
+(* -- a view bound against a query bound -------------------------------------- *)
+
+(* The perfbench V8 shape on the shared workload: client [i]'s view GV<i>
+   bounds R.A from below, and its requests [J = j AND A > k] draw [k]
+   on both sides of that bound and on it.  The rewrite keeps whichever
+   bound is stronger, so the template's plan depends on which side [k]
+   lies: it plans once per side (two guarded variants), and every other
+   request binds its side's variant. *)
+let guarded_view i = Printf.sprintf "GV%d" i
+let guarded_bound = 9
+
+let guarded_query ~index j =
+  Printf.sprintf "SELECT A FROM %s WHERE J = %d AND A > %d" (guarded_view index) (j mod 6)
+    (j mod 20)
+
+let run_guarded ?(host = "127.0.0.1") ?(physical = Session.Eval.Physical.Indexed) ~port
+    ~clients ~per_client () =
+  fan_out ~host ~port ~clients ~per_client (fun i w ->
+      verified_worker_body ~oracle_setup:setup_statements ~host ~port ~physical
+        ~expected:[]
+        ~ddl:(fun i ->
+          [
+            Printf.sprintf "CREATE VIEW %s (A, J) AS SELECT A, J FROM R WHERE A > %d"
+              (guarded_view i) guarded_bound;
+          ])
+        ~op:(fun ~index j -> `Private_read (guarded_query ~index j))
+        ~per_client ~index:i w)
+
 let pp_outcome ppf o =
   Fmt.pf ppf "clients          : %d × %d requests@." o.clients o.per_client;
   Fmt.pf ppf "responses        : %d ok (%d writes), %d error, %d busy of %d@." o.ok

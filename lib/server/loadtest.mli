@@ -194,6 +194,23 @@ val run_param :
     the same text).  Only a template-keyed plan cache can reach a high
     hit rate here. *)
 
+(** {1 View-bound workload} *)
+
+val run_guarded :
+  ?host:string ->
+  ?physical:Session.Eval.Physical.t ->
+  port:int ->
+  clients:int ->
+  per_client:int ->
+  unit ->
+  outcome
+(** Guarded generic plans over a server loaded with
+    {!setup_statements}: client [i] creates a view bounding [R.A] from
+    below ([A > 9]) and asks [SELECT A FROM GV<i> WHERE J = j AND A > k]
+    with [k] cycling through 0-19, both sides of the view bound.  Each
+    side plans one guarded variant of the template; every ok reply is
+    verified byte-for-byte against a per-client oracle session. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val percentile : float array -> float -> float

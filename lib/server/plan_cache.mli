@@ -40,8 +40,10 @@ val count : [ `Hit | `Template_hit | `Miss ] -> unit
 (** {1 Template counters} *)
 
 val note_template : [ `Generic | `Custom ] -> unit
-(** A template was planned: its generic plan is shared ([`Generic]), or
-    it differed from the custom plan and the template only marks that
+(** A template was planned: a guarded variant of its generic plan was
+    stored and is shared ([`Generic], once per stored variant), or the
+    template went custom-only — a generic plan differed from the custom
+    plan, or its variant list was full — and now only marks that
     requests of this shape plan per text ([`Custom]).  Increments
     [eds_plan_cache_templates{kind="generic"|"custom"}]. *)
 

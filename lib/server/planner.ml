@@ -4,6 +4,7 @@ module Template = Eds_esql.Template
 module Database = Eds_engine.Database
 module Eval = Eds_engine.Eval
 module Metrics = Eds_obs.Metrics
+module Adt = Eds_value.Adt
 
 (* same cell as the session's execute-phase histogram: cached-plan
    executions skip Session.exec entirely but must still show up in
@@ -23,17 +24,36 @@ type report = {
   work : Eval.stats;
 }
 
+(* A template's generic plan for the bindings that satisfy all of its
+   guards: the parameter reads the rewrite made while planning it. *)
+type variant = { guards : Lera.guard list; generic : Lera.rel }
+
 (* What a cache key maps to.  Exact-text keys hold [Exact]; template
    keys hold one of the other three. *)
 type entry =
   | Exact of Lera.rel  (* the plan of one statement text *)
-  | Generic of Lera.rel  (* a template's plan; parameters bound per request *)
+  | Generic of Adt.registry * variant list
+      (* a template's guarded plans, oldest first, and the ADT registry
+         their guards read through; parameters bound per request *)
   | Custom_only
-      (* the template's generic plan differed from a custom plan: its
-         requests plan per text *)
+      (* a generic plan differed from a custom plan, or the template
+         needed more than [max_variants] variants: its requests plan per
+         text *)
   | Pinned of int list
       (* these slots' translation depends on their value (enumeration
          coercion): the template is keyed again with them as literals *)
+
+(* Variants one template keeps: one per side of each literal bound its
+   rewrite compares, which is 2 for a query bound against one view bound
+   and 9 for perfbench's 8-deep view stack. *)
+let max_variants = 16
+
+(* the variant whose guards all hold on these literals; guard regions
+   are disjoint (DESIGN.md decision 17), so at most one does *)
+let serving adts values variants =
+  List.find_opt
+    (fun v -> List.for_all (Lera.guard_holds adts values) v.guards)
+    variants
 
 type t = {
   session : Session.t;
@@ -109,21 +129,23 @@ let sweep_stale t gen =
         t.swept_gen <- gen
       end)
 
-(* Store what planning the template taught: [Generic] only when binding
-   this request's literals into the generic plan reproduces the custom
-   plan exactly, so the first binding evaluates as it always did; every
-   later binding is sound because no rule read a parameter.  Returns
-   whether the generic plan is shared. *)
-let store_template t gen tmpl values (generic : Session.plan option) custom =
+(* Store what planning the template taught: one more [Generic] variant
+   when binding this request's literals into the generic plan
+   reproduces the custom plan exactly, so the first binding evaluates as
+   it always did; every later binding the variant serves satisfies the
+   same guards, so the rewrite took the same steps for it.  A template
+   whose generic plan differs, or that needs more than [max_variants]
+   variants, turns [Custom_only].  Returns whether the variant is
+   shared. *)
+let store_template t gen tmpl values known (generic : Session.plan option) custom =
   let add key entry = Plan_cache.add t.cache key entry in
-  let mark key shared =
-    add key (match shared with Some rel -> Generic rel | None -> Custom_only);
-    Plan_cache.note_template (if Option.is_some shared then `Generic else `Custom)
+  let custom_only key =
+    add key Custom_only;
+    Plan_cache.note_template `Custom;
+    false
   in
   match generic with
-  | None ->
-      mark (template_key gen tmpl) None;
-      false
+  | None -> custom_only (template_key gen tmpl)
   | Some p ->
       (* a slot translated to a literal, not a parameter, was pinned *)
       let present = Lera.params p.Session.translated in
@@ -140,9 +162,14 @@ let store_template t gen tmpl values (generic : Session.plan option) custom =
         end
       in
       let rel = p.Session.rewritten in
-      let shared = Lera.equal (Lera.bind values rel) custom in
-      mark key (if shared then Some rel else None);
-      shared
+      if List.length known < max_variants && Lera.equal (Lera.bind values rel) custom
+      then begin
+        let adts = Eds_esql.Catalog.adts (Session.catalog t.session) in
+        add key (Generic (adts, known @ [ { guards = p.Session.guards; generic = rel } ]));
+        Plan_cache.note_template `Generic;
+        true
+      end
+      else custom_only key
 
 (* A text is remembered under its exact key whenever it plans per text
    and when its template serves it again, so repeated texts keep taking
@@ -166,22 +193,29 @@ let plan_miss t ~text ~sel ~parse_s ~tmpl ~values phases =
   match Plan_cache.peek t.cache exact with
   | Some (Exact rel) -> rel
   | _ -> (
-      match resolve (Plan_cache.peek t.cache) gen tmpl with
-      | Some (Generic rel) -> remember t exact (Lera.bind values rel)
-      | Some Custom_only -> remember t exact (custom ())
+      let entry = resolve (Plan_cache.peek t.cache) gen tmpl in
+      let known, served =
+        match entry with
+        | Some (Generic (adts, vs)) -> (vs, serving adts values vs)
+        | _ -> ([], None)
+      in
+      match entry, served with
+      | _, Some v -> remember t exact (Lera.bind values v.generic)
+      | Some Custom_only, _ -> remember t exact (custom ())
       | _ when Array.length values = 0 ->
           (* literal-free: the exact key is all a template would add *)
           remember t exact (custom ())
       | _ ->
-          (* the generic plan first, so the session's last rewrite stats
-             are the custom plan's; a template can fail to translate
-             where its literal query does not (GROUP BY matching) *)
+          (* no variant serves these literals: plan one.  The generic
+             plan first, so the session's last rewrite stats are the
+             custom plan's; a template can fail to translate where its
+             literal query does not (GROUP BY matching) *)
           let generic =
             try Some (Session.plan_ast t.session tmpl)
             with Session.Session_error _ -> None
           in
           let rel = custom () in
-          if store_template t gen tmpl values generic rel then rel
+          if store_template t gen tmpl values known generic rel then rel
           else remember t exact rel)
 
 let plan_timed ?(exclusive = fun f -> f ()) t text =
@@ -194,11 +228,18 @@ let plan_timed ?(exclusive = fun f -> f ()) t text =
   | _ -> (
       let sel, parse_s = Session.parse_select text in
       let tmpl, values = Template.erase sel in
-      match resolve (Plan_cache.lookup t.cache) gen tmpl with
-      | Some (Generic rel) ->
+      let variant =
+        match resolve (Plan_cache.lookup t.cache) gen tmpl with
+        | Some (Generic (adts, vs)) -> serving adts values vs
+        | _ -> None
+      in
+      match variant with
+      | Some v ->
           Plan_cache.count `Template_hit;
-          (remember t (exact_key gen text) (Lera.bind values rel), `Hit, (parse_s, 0., 0.))
-      | _ ->
+          ( remember t (exact_key gen text) (Lera.bind values v.generic),
+            `Hit,
+            (parse_s, 0., 0.) )
+      | None ->
           Plan_cache.count `Miss;
           let phases = ref (parse_s, 0., 0.) in
           let rel =

@@ -10,23 +10,29 @@
       collapsed and the trailing [';'] dropped, mapped to its plan.
       Looked up first, before any parsing.
     - ["g<gen>|template|<key>"] — the statement's literal-abstracted
-      template ({!Eds_esql.Template.key}), mapped to a {e generic} plan
-      whose {!Eds_lera.Lera.Param} parameters are bound to each
-      request's literals, or to a {e custom-only} marker when the
-      template's generic plan differed from the custom plan of the
-      request that planned it (those requests plan per text).  A slot
+      template ({!Eds_esql.Template.key}), mapped to up to 16 guarded
+      {e generic} plans (variants) whose {!Eds_lera.Lera.Param}
+      parameters are bound to each request's literals, or to a
+      {e custom-only} marker (those requests plan per text).  A slot
       whose translation reads its value (enumeration coercion) is
       pinned: the template entry then points at a second key with that
       literal restored.
 
-    A generic plan is stored only when binding the planning request's
-    literals reproduces its custom plan exactly ({!Eds_lera.Lera.equal});
-    later bindings are sound because no rewrite rule reads a parameter
-    (DESIGN.md decision 17).  Any optimizer-config change, rule
-    addition or DDL bumps the generation, so stale plans and templates
-    can never be served; the first planning after a bump eagerly sweeps
-    the orphaned entries ({!Plan_cache.sweep}) so a full cache spends
-    its capacity on live plans only.
+    A template is planned with the literals of the request that misses,
+    and every read of a parameter's value the rewrite makes is recorded
+    as a guard ({!Eds.Session.plan}[.guards]).  A lookup binds the
+    variant whose guards all hold on the request's literals; when none
+    does the request misses and plans a new variant.  A variant is
+    stored only when binding the planning request's literals reproduces
+    its custom plan exactly ({!Eds_lera.Lera.equal}); otherwise, and
+    once a template needs a 17th variant, the template turns
+    custom-only.  Later bindings are sound because they satisfy every
+    guard, so the rewrite took the same steps for them (DESIGN.md
+    decision 17).  Any optimizer-config change, rule addition or DDL
+    bumps the generation, so stale plans and templates can never be
+    served; the first planning after a bump eagerly sweeps the
+    orphaned entries ({!Plan_cache.sweep}) so a full cache spends its
+    capacity on live plans only.
 
     Evaluation runs against an immutable database snapshot
     ({!Eds.Session.snapshot_db}), so concurrent callers never need a
@@ -58,13 +64,13 @@ val plan :
   Session.Lera.rel * [ `Hit | `Miss ]
 (** The rewritten plan for a SELECT, from the cache when possible.
     An exact hit touches nothing but the cache; a template hit parses
-    the text (no session state) and binds its literals into the generic
-    plan — both are [`Hit].  A miss must read the shared catalog to
+    the text (no session state), checks the variants' guards and binds
+    its literals into the one that holds — both are [`Hit].  A miss must read the shared catalog to
     translate/rewrite, so only a request that really plans runs
     [exclusive] (default: run in place) — the server passes its
     exclusive-section wrapper.  The section double-checks the cache on entry,
     so two threads racing on the same cold text or template plan it
-    once.  Raises like {!Session.explain} (parse/type errors are never
+    once (or one variant per guard outcome).  Raises like {!Session.explain} (parse/type errors are never
     cached; a parse error raises without entering [exclusive] and
     counts neither a hit nor a miss). *)
 

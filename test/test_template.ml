@@ -136,9 +136,9 @@ let test_enum_literal_stays_literal () =
     (check "SELECT Label FROM ITEM WHERE Hue = 'Purple' AND Price > 1");
   ignore (check "SELECT Label FROM ITEM WHERE Hue = 'Blue' AND Price > 1")
 
-(* -- vetoes: no built-in reads a parameter -------------------------------- *)
+(* -- guards: a built-in reads a parameter and records the read ------------ *)
 
-let ctx s = Optimizer.make_ctx (Catalog.schema_env (Session.catalog s))
+let ctx ?params s = Optimizer.make_ctx ?params (Catalog.schema_env (Session.catalog s))
 
 let item_env s =
   {
@@ -155,24 +155,63 @@ let int n = Term.Cst (Value.Int n)
 
 let holds s t = Engine.eval_constraint (ctx s) Engine.top_env t
 
-let test_veto_isa_constant () =
+(* planning literals: $1 = 3, $2 = 3 *)
+let literals = [| Value.Int 3; Value.Int 3 |]
+
+(* a constraint's outcome under the planning literals, and the guards
+   it recorded, rendered "op(a, b)=outcome" *)
+let guarded ?(params = literals) s t =
+  let c = ctx ~params s in
+  let outcome = Engine.eval_constraint c Engine.top_env t in
+  let show (g : Lera.guard) =
+    let scalar x = Fmt.str "%a" Lera.pp_scalar x in
+    Fmt.str "%s(%s, %s)=%b" g.Lera.op (scalar (fst g.Lera.args)) (scalar (snd g.Lera.args))
+      g.Lera.outcome
+  in
+  (outcome, List.map show (Engine.guards c))
+
+let check_guarded name want got =
+  Alcotest.(check (pair bool (list string))) name want got
+
+let test_guard_isa_constant () =
   let s = shop () in
   Alcotest.(check bool) "a constant is one" true
     (holds s (Term.app "isa" [ int 3; Term.var "constant" ]));
-  Alcotest.(check bool) "a parameter is not" false
-    (holds s (Term.app "isa" [ p1; Term.var "constant" ]));
+  (* a per-execution constant, whatever its value: nothing read *)
+  check_guarded "a parameter is one, and reads nothing" (true, [])
+    (guarded s (Term.app "isa" [ p1; Term.var "constant" ]));
   (* its type is no secret: it is part of the template key *)
-  Alcotest.(check bool) "but it has its literal's type" true
+  Alcotest.(check bool) "it has its literal's type" true
     (holds s (Term.app "isa" [ p1; Term.var "int" ]))
 
-let test_veto_ground_comparison () =
+let test_guard_ground_comparison () =
   let s = shop () in
   Alcotest.(check bool) "constants compare" true (holds s (Term.app ">=" [ int 4; int 2 ]));
-  Alcotest.(check bool) "parameter vs constant vetoes" false
-    (holds s (Term.app ">=" [ p1; int 2 ]));
-  Alcotest.(check bool) "either side" false (holds s (Term.app "<" [ int 2; p1 ]));
-  Alcotest.(check bool) "parameter vs itself vetoes too" false
-    (holds s (Term.app "=" [ p1; p1 ]))
+  check_guarded "constants record nothing" (true, [])
+    (guarded s (Term.app ">=" [ int 4; int 2 ]));
+  check_guarded "parameter vs constant" (true, [ ">=($1:INT, 2)=true" ])
+    (guarded s (Term.app ">=" [ p1; int 2 ]));
+  check_guarded "either side, a false outcome too" (false, [ "<(4, $1:INT)=false" ])
+    (guarded s (Term.app "<" [ int 4; p1 ]));
+  check_guarded "two parameters" (true, [ "=($1:INT, $2:INT)=true" ])
+    (guarded s (Term.app "=" [ p1; p2 ]));
+  check_guarded "a parameter with no literal fails and records nothing" (false, [])
+    (guarded ~params:[||] s (Term.app ">=" [ p1; int 2 ]));
+  (* the recorded guard repeats the read on other literals *)
+  let adts = Eds_esql.Catalog.adts (Session.catalog s) in
+  let g =
+    {
+      Lera.op = ">=";
+      args = (Lera.Param (1, Vtype.Int), Lera.Cst (Value.Int 2));
+      outcome = true;
+    }
+  in
+  List.iter
+    (fun (k, want) ->
+      Alcotest.(check bool) (Fmt.str "$1 = %d" k) want
+        (Lera.guard_holds adts [| Value.Int k |] g))
+    [ (1, false); (2, true); (3, true) ];
+  Alcotest.(check bool) "no literal: the guard fails" false (Lera.guard_holds adts [||] g)
 
 let method_ name = List.assoc name Methods.all
 
@@ -218,21 +257,28 @@ let test_veto_not_in_domain () =
     (Term.app "not_in_domain" [ Term.Cst (Value.Str "Purple"); col 3 ]);
   check "a parameter vetoes" false (Term.app "not_in_domain" [ ps; col 3 ])
 
-let test_veto_distinct_notin () =
+let test_guard_distinct_notin () =
   let s = shop () in
-  let distinct a b = holds s (Term.app "distinct" [ a; b ]) in
-  let notin a ms = holds s (Term.app "notin" (a :: ms)) in
-  Alcotest.(check bool) "constants" true (distinct (int 1) (int 2));
-  Alcotest.(check bool) "two parameters may be equal" false (distinct p1 p2);
-  Alcotest.(check bool) "a parameter may equal a constant" false (distinct p1 (int 2));
-  Alcotest.(check bool) "a parameter never equals a column" true (distinct p1 (col 1));
-  Alcotest.(check bool) "same parameter" false (distinct p1 p1);
+  let distinct ?params a b = guarded ?params s (Term.app "distinct" [ a; b ]) in
+  let notin ?params a ms = guarded ?params s (Term.app "notin" (a :: ms)) in
+  check_guarded "constants" (true, []) (distinct (int 1) (int 2));
+  check_guarded "two parameters holding one value" (false, [ "=($1:INT, $2:INT)=true" ])
+    (distinct p1 p2);
+  check_guarded "two parameters holding two values" (true, [ "=($1:INT, $2:INT)=false" ])
+    (distinct ~params:[| Value.Int 3; Value.Int 4 |] p1 p2);
+  check_guarded "a parameter and a constant" (true, [ "=($1:INT, 2)=false" ])
+    (distinct p1 (int 2));
+  check_guarded "a parameter never equals a column: nothing read" (true, [])
+    (distinct p1 (col 1));
+  check_guarded "same parameter: nothing read" (false, []) (distinct p1 p1);
   let eq a b = Term.app "=" [ a; b ] in
-  Alcotest.(check bool) "notin: parameter could match" false
+  check_guarded "notin: the parameters hold one value" (false, [ "=($1:INT, $2:INT)=true" ])
     (notin (eq (col 1) p1) [ eq (col 1) p2 ]);
-  Alcotest.(check bool) "notin: settled by a column" true
+  check_guarded "notin: settled by a column" (true, [])
     (notin (eq (col 1) p1) [ eq (col 2) p2 ]);
-  Alcotest.(check bool) "notin: without parameters, plain equality" true
+  check_guarded "notin: a differing constant settles it unread" (true, [])
+    (notin (eq p1 (int 1)) [ eq p2 (int 2) ]);
+  check_guarded "notin: without parameters, plain equality" (true, [])
     (notin (eq (col 1) (int 1)) [ eq (col 1) (int 2) ])
 
 let test_magic_accepts_parameter () =
@@ -302,10 +348,11 @@ let test_generic_equals_custom () =
   Alcotest.check origin "repeat text" `Hit o
 
 (* A view bound subsumes the query's bound only for some literals (the
-   V8 shape): the custom plan drops a conjunct the generic plan cannot,
-   so the template is marked custom-only and every binding plans per
-   text — correctly on both sides of the view bound. *)
-let test_subsumption_custom_only () =
+   V8 shape): [subsume_gt] keeps the stronger bound, and which one that
+   is depends on the literal.  Each side of the view bound plans one
+   guarded variant; every later binding is served by its side's
+   variant, correctly on both sides and on the bound itself. *)
+let test_subsumption_guarded_variants () =
   let script =
     {|
     TABLE P (A : INT, B : INT) ;
@@ -316,20 +363,24 @@ let test_subsumption_custom_only () =
   in
   let s = session_of script in
   let planner = Planner.create s in
-  let generic, custom, _ =
+  let generic, custom, hits =
     counter_delta (fun () ->
         List.iter
-          (fun k ->
+          (fun (k, want) ->
             let text = Fmt.str "SELECT B FROM V WHERE A > %d" k in
-            let r, o = Planner.execute planner text in
-            Alcotest.check origin text `Miss o;
+            let plan, o = Planner.plan planner text in
+            Alcotest.check origin text want o;
+            Alcotest.check rel (text ^ ": the custom plan")
+              (Session.explain s text).Session.rewritten plan;
             Alcotest.(check (list (list string))) text
               (strings (Session.query (session_of script) text))
-              (strings r))
-          [ 2; 7; 4; 5; 0 ])
+              (strings (Session.run_plan s plan)))
+          (* 2 plans the "view bound is stronger" side, 7 the other;
+             the bound itself and both sides then hit *)
+          [ (2, `Miss); (7, `Miss); (4, `Hit); (5, `Hit); (0, `Hit) ])
   in
-  Alcotest.(check (pair int int)) "custom-only, planned once as a template" (0, 1)
-    (generic, custom)
+  Alcotest.(check (triple int int int)) "one variant per side, no custom-only template"
+    (2, 0, 3) (generic, custom, hits)
 
 let test_generation_sweeps_templates () =
   let s = shop () in
@@ -708,24 +759,103 @@ let prop_generic_plans_match_naive =
           else QCheck2.Test.fail_reportf "%s: rows differ" text)
         draws)
 
+(* -- guard completeness ------------------------------------------------------ *)
+
+(* Templates whose qualifications compare columns with plan constants:
+   view bounds (stacked two deep in GI2 and GM) over INT, NUMERIC and
+   CHAR columns, under 1-3 query conjuncts [col op literal].  Literals
+   are drawn equal to a plan constant, one step on either side of one,
+   or at random, so every guard is met on both of its sides and on its
+   boundary.  Every plan the planner serves — a variant's binding, a
+   custom plan, an exact hit — must be the custom plan of its text, and
+   its rows those of an unrewritten naive session. *)
+let guarded_setup =
+  String.concat ""
+    ("TABLE G (I : INT, R : NUMERIC, S : CHAR) ;\n"
+    :: List.init 14 (fun i ->
+           Fmt.str "INSERT INTO G VALUES (%d, %.1f, '%c') ;\n" i (float_of_int i *. 0.5)
+             (Char.chr (Char.code 'a' + (i * 7 mod 26)))))
+  ^ {|
+  CREATE VIEW GI (I, R, S) AS SELECT I, R, S FROM G WHERE I > 4 ;
+  CREATE VIEW GI2 (I, R, S) AS SELECT I, R, S FROM GI WHERE I <= 9 ;
+  CREATE VIEW GR (I, R, S) AS SELECT I, R, S FROM G WHERE R < 2.5 ;
+  CREATE VIEW GS (I, R, S) AS SELECT I, R, S FROM G WHERE S >= 'm' ;
+  CREATE VIEW GM (I, R, S) AS SELECT I, R, S FROM GI2 WHERE R >= 3.0 AND S < 'x' ;
+|}
+
+(* each column's literal draws around the view bounds' constants *)
+let gen_literal col =
+  let open QCheck2.Gen in
+  let around consts step random =
+    oneof [ oneofl consts; map2 ( + ) (oneofl consts) (oneofl [ -step; step ]); random ]
+  in
+  match col with
+  | "I" -> around [ 4; 9 ] 1 (int_range 0 13) >|= string_of_int
+  | "R" ->
+      (* in half units: the bounds 2.5 and 3.0 *)
+      around [ 5; 6 ] 1 (int_range 0 14) >|= fun k -> Fmt.str "%.1f" (float_of_int k *. 0.5)
+  | _ ->
+      around [ Char.code 'm'; Char.code 'x' ] 1 (int_range (Char.code 'a') (Char.code 'z'))
+      >|= fun c -> Fmt.str "'%c'" (Char.chr c)
+
+let gen_guarded_case =
+  let open QCheck2.Gen in
+  oneofl [ "G"; "GI"; "GI2"; "GR"; "GS"; "GM" ] >>= fun view ->
+  list_size (int_range 1 3)
+    (pair (oneofl [ "I"; "R"; "S" ]) (oneofl [ ">"; "<"; ">="; "<="; "=" ]))
+  >>= fun conjuncts ->
+  list_repeat 6 (flatten_l (List.map (fun (col, _) -> gen_literal col) conjuncts))
+  >|= fun draws -> (view, conjuncts, draws)
+
+let guarded_text (view, conjuncts, _) lits =
+  Fmt.str "SELECT I, S FROM %s WHERE %s" view
+    (String.concat " AND "
+       (List.map2 (fun (col, op) lit -> Fmt.str "%s %s %s" col op lit) conjuncts lits))
+
+let prop_guards_complete =
+  let served = session_of guarded_setup in
+  let oracle = session_of guarded_setup in
+  Session.set_physical oracle Eval.Physical.Naive;
+  Session.set_rewriting oracle false;
+  let planner = Planner.create served in
+  QCheck2.Test.make ~name:"guarded variants serve exactly the custom plan" ~count:150
+    ~print:(fun ((_, _, draws) as case) ->
+      String.concat "\n" (List.map (guarded_text case) draws))
+    gen_guarded_case
+    (fun ((_, _, draws) as case) ->
+      List.for_all
+        (fun lits ->
+          let text = guarded_text case lits in
+          let plan, _ = Planner.plan planner text in
+          let custom = (Session.explain served text).Session.rewritten in
+          if not (Lera.equal plan custom) then
+            QCheck2.Test.fail_reportf "%s: served %s, custom %s" text (Lera.to_string plan)
+              (Lera.to_string custom)
+          else if
+            (Session.run_plan served plan).Relation.tuples
+            <> (Session.query oracle text).Relation.tuples
+          then QCheck2.Test.fail_reportf "%s: rows differ" text
+          else true)
+        draws)
+
 let suite =
   [
     Alcotest.test_case "template: erase and key" `Quick test_erase_and_key;
     Alcotest.test_case "template: parameter round trip" `Quick test_param_round_trip;
     Alcotest.test_case "template: enum-coerced literal stays literal" `Quick
       test_enum_literal_stays_literal;
-    Alcotest.test_case "veto: ISA(p, constant)" `Quick test_veto_isa_constant;
-    Alcotest.test_case "veto: ground comparison" `Quick test_veto_ground_comparison;
+    Alcotest.test_case "guard: ISA(p, constant)" `Quick test_guard_isa_constant;
+    Alcotest.test_case "guard: ground comparison" `Quick test_guard_ground_comparison;
     Alcotest.test_case "veto: evaluate" `Quick test_veto_evaluate;
     Alcotest.test_case "veto: const_fold" `Quick test_veto_const_fold;
     Alcotest.test_case "veto: not_in_domain" `Quick test_veto_not_in_domain;
-    Alcotest.test_case "veto: distinct and notin" `Quick test_veto_distinct_notin;
+    Alcotest.test_case "guard: distinct and notin" `Quick test_guard_distinct_notin;
     Alcotest.test_case "magic adornment accepts a parameter" `Quick
       test_magic_accepts_parameter;
     Alcotest.test_case "planner: generic plan equals custom plan" `Quick
       test_generic_equals_custom;
-    Alcotest.test_case "planner: subsumption template is custom-only" `Quick
-      test_subsumption_custom_only;
+    Alcotest.test_case "subsumption template: one guarded variant per side of the view bound"
+      `Quick test_subsumption_guarded_variants;
     Alcotest.test_case "planner: generation bump sweeps templates" `Quick
       test_generation_sweeps_templates;
     Alcotest.test_case "planner: racing threads plan a template once" `Quick
@@ -735,4 +865,5 @@ let suite =
       test_stats_metrics_match_prom;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
       prop_generic_plans_match_naive;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) prop_guards_complete;
   ]
